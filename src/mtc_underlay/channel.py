@@ -44,28 +44,42 @@ BS_POSITION = Position(0.0, 0.0)
 
 @dataclass
 class Deployment:
-    """Node placement for one experiment: fixed MTA/MTD positions, per-drop CU."""
+    """Node placement for one experiment: fixed MTA/MTD positions, per-drop CU.
+
+    MTD distances to the BS and to the MTA are computed once, at construction,
+    and shared read-only by every drop; positions are not to be changed after.
+    """
 
     bs: Position
     mta: Position
     mtds: list[Position]
     cu: Position | None = None
 
+    def __post_init__(self):
+        self._bs_d = _read_only([p.r for p in self.mtds])
+        self._mta_d = _read_only([p.distance_to(self.mta) for p in self.mtds])
+
     @property
     def n_mtds(self) -> int:
         return len(self.mtds)
 
     def mtd_bs_distances(self) -> np.ndarray:
-        return np.array([p.r for p in self.mtds], dtype=float)
+        return self._bs_d
 
     def mtd_mta_distances(self) -> np.ndarray:
-        return np.array([p.distance_to(self.mta) for p in self.mtds], dtype=float)
+        return self._mta_d
 
     def subset(self, k: int) -> "Deployment":
         """First-k slice of the MTD cluster (nested K sweeps)."""
         if not 1 <= k <= self.n_mtds:
             raise ValueError(f"k must be in [1, {self.n_mtds}], got {k}")
         return Deployment(bs=self.bs, mta=self.mta, mtds=self.mtds[:k])
+
+
+def _read_only(values) -> np.ndarray:
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def pathloss_db(distance_m: float, min_distance_m: float = 10.0) -> float:

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 from .config import ConfigError, SimConfig, config_as_dict, parse_config
 from .montecarlo import (
+    RNG_CONTRACT,
     experiment_outage,
     experiment_single_rb,
     experiment_throughput,
@@ -44,7 +45,19 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("empty list")
+    if values[0] < 1:
+        raise argparse.ArgumentTypeError(f"K values must be at least 1, got {values[0]}")
     return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _float_list(text: str) -> list[float]:
@@ -81,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the MTD power mode")
         p.add_argument("--mtd-power-dbm", type=_float_list, metavar="P1,P2,...",
                        help="fixed-mode MTD TX power sweep (single-rb) or value")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_positive_int, default=1,
                        help="process count (results are worker-count invariant)")
     return parser
 
@@ -102,10 +115,6 @@ def _load_config(args) -> SimConfig:
         config = replace(config, mtd_power_mode=args.power_mode)
     powers = getattr(args, "mtd_power_dbm", None)
     if powers is not None and args.experiment != "single-rb":
-        if len(powers) != 1:
-            raise ConfigError(
-                f"--mtd-power-dbm takes a single value for {args.experiment}, got {powers}"
-            )
         config = replace(config, mtd_fixed_power_dbm=powers[0])
     config.validate()
     return config
@@ -134,12 +143,18 @@ def _execute(args, config: SimConfig):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         config = _load_config(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    powers = args.mtd_power_dbm
+    if powers is not None and config.mtd_power_mode == "controlled":
+        parser.error("--mtd-power-dbm sets the fixed MTD power; controlled power mode ignores it")
+    if powers is not None and args.experiment != "single-rb" and len(powers) != 1:
+        parser.error(f"--mtd-power-dbm takes a single value for {args.experiment}, got {powers}")
 
     created: list[str] = []
     started = time.perf_counter()
@@ -147,24 +162,29 @@ def main(argv=None) -> int:
         csv_text, extras = _execute(args, config)
         csv_name = f"{args.experiment}.csv"
         os.makedirs(args.out, exist_ok=True)
-        csv_path = os.path.join(args.out, csv_name)
-        created.append(csv_path)
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
         manifest = {
             "experiment": args.experiment,
             "seed": config.seed,
             "workers": args.workers,
             "config": config_as_dict(config),
+            "rng_contract": RNG_CONTRACT,
             "artifacts": [csv_name],
             "duration_s": round(time.perf_counter() - started, 3),
             **extras,
         }
+        csv_tmp = _stage(args.out, csv_name, created, lambda fh: fh.write(csv_text))
+        manifest_tmp = _stage(
+            args.out, "manifest.json", created, lambda fh: _dump_json(manifest, fh)
+        )
+        # The manifest describes the CSV: retire the old one before the CSV is
+        # replaced and move the new one in last, so no failure can leave a CSV
+        # beside a manifest from another run.
+        csv_path = os.path.join(args.out, csv_name)
         manifest_path = os.path.join(args.out, "manifest.json")
-        created.append(manifest_path)
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _cleanup([manifest_path])
+        os.replace(csv_tmp, csv_path)
+        created.append(csv_path)
+        os.replace(manifest_tmp, manifest_path)
     except ConfigError as exc:
         _cleanup(created)
         print(f"config error: {exc}", file=sys.stderr)
@@ -174,6 +194,21 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     return 0
+
+
+def _stage(out_dir: str, name: str, created: list[str], write) -> str:
+    """Write a file's content to a temporary file beside its final path; the
+    temporary path is added to ``created`` before anything is written."""
+    path = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+    created.append(path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write(fh)
+    return path
+
+
+def _dump_json(data, fh) -> None:
+    json.dump(data, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _cleanup(paths: list[str]) -> None:

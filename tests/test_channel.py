@@ -140,6 +140,12 @@ def test_deployment_subset_is_nested():
     sub = dep.subset(10)
     assert sub.mtds == dep.mtds[:10]
     assert sub.mta == dep.mta
+    # cached distances: computed once from the positions
+    np.testing.assert_array_equal(sub.mtd_bs_distances(), [p.r for p in sub.mtds])
+    np.testing.assert_array_equal(
+        sub.mtd_mta_distances(), [p.distance_to(dep.mta) for p in sub.mtds]
+    )
+    assert not dep.mtd_bs_distances().flags.writeable
     with pytest.raises(ValueError):
         dep.subset(51)
     with pytest.raises(ValueError):

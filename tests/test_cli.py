@@ -108,6 +108,90 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["single-rb", "--power-mode", "controlled", "--mtd-power-dbm", "0,-10"],
+        ["outage", "--power-mode", "controlled", "--mtd-power-dbm", "0"],
+        ["outage", "--power-mode", "controlled", "--mtd-power-dbm", "0,-10"],
+        ["throughput", "--mtd-power-dbm", "0,-10"],
+        ["single-rb", "--k-values", "0,5"],
+        ["throughput", "--k-values", "-2"],
+        ["outage", "--workers", "-3"],
+        ["outage", "--workers", "0"],
+    ],
+)
+def test_bad_flag_values_are_usage_errors(args, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        _run(args + ["--drops", "5", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_controlled_mode_from_config_file_rejects_mtd_power(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("mtd_power_mode = controlled\n")
+    with pytest.raises(SystemExit) as exc:
+        _run(["single-rb", "--config", str(cfg), "--mtd-power-dbm", "0",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 1
+    capsys.readouterr()
+
+
+def test_manifest_records_rng_contract(tmp_path):
+    out = tmp_path / "run"
+    assert _run(["outage", "--out", str(out), "--drops", "5", "--k-values", "1"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 2
+
+
+class _Killed(BaseException):
+    """Stands in for a kill: no ``except Exception`` handler runs."""
+
+
+@pytest.mark.parametrize("fail_at", ["manifest-write", "manifest-move", "killed"])
+def test_failed_rerun_leaves_no_new_csv_beside_old_manifest(
+    fail_at, tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "run"
+    args = ["outage", "--out", str(out), "--drops", "10", "--k-values", "1"]
+    assert _run(args + ["--seed", "1"]) == 0
+    old_csv = _read(out, "outage.csv")
+    old_manifest = _read(out, "manifest.json")
+
+    if fail_at == "manifest-move":
+        real_replace = cli.os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith("manifest.json"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+    else:
+        error = _Killed() if fail_at == "killed" else OSError("disk full")
+
+        def dump(*a, **kw):
+            raise error
+
+        monkeypatch.setattr(cli.json, "dump", dump)
+    if fail_at == "killed":
+        with pytest.raises(_Killed):
+            _run(args + ["--seed", "2"])
+    else:
+        assert _run(args + ["--seed", "2"]) == 3
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+    capsys.readouterr()
+
+    if (out / "manifest.json").exists():
+        assert _read(out, "manifest.json") == old_manifest
+        assert _read(out, "outage.csv") == old_csv
+    else:
+        assert fail_at == "manifest-move"
+        assert not (out / "outage.csv").exists()
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("antennas = 4\nwhatever = 12\n")

@@ -12,6 +12,7 @@ from mtc_underlay import (
     estimate_outage,
     experiment_single_rb,
     experiment_throughput,
+    linear_gain,
     run_drop,
     sample_deployment,
     verify_asymptotic,
@@ -194,6 +195,9 @@ def test_asymptotic_closed_form_uses_product_rule():
     res = verify_asymptotic(cfg, [1, 2, 5])
     for k, closed in zip(res.k_values, res.p_closed_form):
         assert closed == pytest.approx(1.0 - (1.0 - res.phi) ** k, rel=1e-12)
+    # phi is the analytic Exp(1) CDF at delta_I / g, not an estimate
+    g = linear_gain(cfg.mta_cluster_radius_m)
+    assert res.phi == pytest.approx(-math.expm1(-cfg.delta_i_w / g), rel=1e-12)
     # half-half single-draw CDF would give the textbook 0.875 at K=3
     assert 1.0 - (1.0 - 0.5) ** 3 == 0.875
 
