@@ -42,8 +42,6 @@ from .scheduler import (
     cu_power_control,
     match_assignments,
     mtd_power_control,
-    optimal_assignment_oracle,
-    select_min_interference,
 )
 
 __all__ = [
@@ -73,14 +71,12 @@ __all__ = [
     "match_assignments",
     "mrc_weights",
     "mtd_power_control",
-    "optimal_assignment_oracle",
     "outage_indicator",
     "parse_config",
     "parse_config_text",
     "run_drop",
     "sample_cu_position",
     "sample_deployment",
-    "select_min_interference",
     "serialize_config",
     "sinr_cellular",
     "sinr_mta",

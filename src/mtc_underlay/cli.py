@@ -90,6 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--drops", type=int, help="override the drop count")
         p.add_argument("--k-values", type=_int_list, metavar="K1,K2,...",
                        help="MTD counts to sweep (sorted, deduplicated)")
+        if name == "asymptotic":
+            # serial, i.i.d. channels: power and pool flags would be ignored
+            p.add_argument("--workers", type=int, choices=[1], default=1,
+                           help="process count (the check runs serially)")
+            continue
         p.add_argument("--power-mode", choices=("fixed", "controlled"),
                        help="override the MTD power mode")
         p.add_argument("--mtd-power-dbm", type=_float_list, metavar="P1,P2,...",
@@ -150,7 +155,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    powers = args.mtd_power_dbm
+    powers = getattr(args, "mtd_power_dbm", None)
     if powers is not None and config.mtd_power_mode == "controlled":
         parser.error("--mtd-power-dbm sets the fixed MTD power; controlled power mode ignores it")
     if powers is not None and args.experiment != "single-rb" and len(powers) != 1:

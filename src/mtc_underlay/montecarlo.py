@@ -3,14 +3,15 @@
 One *drop* is a single channel/CU-position realization on a fixed deployment.
 Every drop owns an RNG substream keyed by (seed, drop index) only, so results
 are bit-reproducible for any worker count and any power mode shares the same
-randomness — sweeps differ only where the physics differs.
+randomness — sweeps differ only where the physics differs. Drops run in
+blocks, each drop on its own substream, so block size changes no result either.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -47,6 +48,8 @@ _NS_ASYMPTOTIC = 3
 
 #: drops per task when running on a process pool
 _POOL_CHUNK = 256
+#: most (RB, MTD) entries in one block of drops; a block holds at least one drop
+BLOCK_ENTRIES = 4096
 
 
 def _generator(seed: int, *key: int) -> np.random.Generator:
@@ -55,16 +58,16 @@ def _generator(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class DropResult:
-    """Outcome of one drop. Vectors are indexed by resource block; an RB with
-    no MTD carries selected_mtd -1, zero interference, and NaN MTA SINR."""
+    """Outcome of a block of D drops: per-RB arrays are (D, N), throughputs
+    (D,). An RB with no MTD carries selected_mtd -1, zero interference, NaN MTA SINR."""
 
     sinr_db: np.ndarray
     selected_mtd: np.ndarray
     eff_interference_w: np.ndarray
     mta_sinr_db: np.ndarray
-    throughput_bps: float
+    throughput_bps: np.ndarray
     outage: np.ndarray
-    baseline_throughput_bps: float | None = None
+    baseline_throughput_bps: np.ndarray | None = None
 
 
 @dataclass
@@ -104,39 +107,40 @@ def _format_cell(value) -> str:
 def run_drop(
     config: SimConfig,
     deployment: Deployment,
-    rng: np.random.Generator,
-    baseline_rng: np.random.Generator | None = None,
+    rngs,
+    baseline_rngs=None,
 ) -> DropResult:
-    """Simulate one drop: move the CU, fade every link, assign MTDs, score.
+    """Simulate a block of drops, one per generator in ``rngs``: move the CU,
+    fade every link, assign MTDs, score.
 
     Draws the sufficient statistics of the Rayleigh channels rather than the
     channels: with a unit-norm MRC combiner u_n = h_c,n / ||h_c,n||, RB n's CU
     gain ||h_c,n||^2 is g_c Gamma(M, 1) and MTD k's post-combiner gain
     |u_n^H h_k,n|^2 is g_k Exp(1), independent of each other and across RBs
-    and MTDs. Draw order (fixed by the RNG contract): CU position, CU gains
-    (N), MTD-to-BS projections (N, K), MTD-to-MTA gains (K). When
-    ``baseline_rng`` is given, a uniformly random injective assignment is
-    scored alongside on the same interference matrix.
+    and MTDs. Each drop draws from its own generator, in an order fixed by the
+    RNG contract: CU position, CU gains (N), MTD-to-BS projections (N, K),
+    MTD-to-MTA gains (K). Everything after the draws runs once for the block.
+    When ``baseline_rngs`` is given (one per drop), a uniformly random
+    injective assignment is scored alongside on the same interference matrix.
     """
-    n_rb, k = config.n_rb, deployment.n_mtds
+    n_drops, n_rb, k = len(rngs), config.n_rb, deployment.n_mtds
     n0, i0 = config.noise_power_w, config.i0_w
     d_min = config.min_distance_m
-
-    cu = sample_cu_position(config, deployment.mta, rng)
-    cu_gain = linear_gain(cu.r, d_min) * rng.standard_gamma(config.antennas, n_rb)
-    proj = linear_gain(deployment.mtd_bs_distances(), d_min) * rng.standard_exponential(
-        (n_rb, k)
-    )
-    # MTA links: distances floored to the model's validity
-    d_mta = np.maximum(deployment.mtd_mta_distances(), d_min)
-    mta_gain = linear_gain(d_mta, d_min) * rng.standard_exponential(k)
+    g_bs, g_mta = deployment.mtd_gains(d_min)
+    cu_gain = np.empty((n_drops, n_rb))
+    proj = np.empty((n_drops, n_rb, k))
+    mta_gain = np.empty((n_drops, k))
+    for j, rng in enumerate(rngs):
+        cu = sample_cu_position(config, deployment.mta, rng)
+        cu_gain[j] = linear_gain(cu.r, d_min) * rng.standard_gamma(config.antennas, n_rb)
+        proj[j] = g_bs * rng.standard_exponential((n_rb, k))
+        mta_gain[j] = g_mta * rng.standard_exponential(k)
     # power control and the MTA SINR need only |h|^2: real amplitudes with the
     # drawn gains stand in for the channels (h_c as N one-antenna channels)
-    h_c = np.sqrt(cu_gain)[:, None]
     h_mta = np.sqrt(mta_gain)
 
     if config.mtd_power_mode == "fixed":
-        p_mtd = np.full(k, config.mtd_fixed_power_w)
+        p_mtd = np.full((n_drops, k), config.mtd_fixed_power_w)
     else:
         p_mtd = mtd_power_control(
             h_mta,
@@ -145,33 +149,31 @@ def run_drop(
             config.p_max_w,
         )
 
-    matrix = p_mtd * proj  # post-combiner interference in watts, (N, K)
-    assignment = match_assignments(matrix)
-    p_c = cu_power_control(h_c, n0, config.cu_target_sinr, config.p_max_w)
+    matrix = p_mtd[:, None, :] * proj  # post-combiner interference in watts, (D, N, K)
+    idx = match_assignments(matrix)
+    p_c = cu_power_control(np.sqrt(cu_gain)[..., None], n0, config.cu_target_sinr, config.p_max_w)
     signal = p_c * cu_gain
-    rbs = np.arange(n_rb)
+    drops, rbs = np.ogrid[:n_drops, :n_rb]
 
     def interference(idx: np.ndarray) -> np.ndarray:
-        """Per-RB interference for an RB->MTD index vector (-1 = no sharing MTD)."""
-        return np.where(idx >= 0, matrix[rbs, np.maximum(idx, 0)], 0.0)
+        """Per-RB interference for (D, N) RB->MTD indices (-1 = no sharing MTD)."""
+        return np.where(idx >= 0, matrix[drops, rbs, np.maximum(idx, 0)], 0.0)
 
-    idx = np.array([-1 if a is None else a for a in assignment.rb_to_mtd], dtype=int)
     eff_int = interference(idx)
     sinr = signal / (eff_int + n0)
 
-    mta_sinr_db = np.full(n_rb, np.nan)
-    served = idx >= 0
-    if np.any(served):
-        mta_budget = LinkBudget(p_c=0.0, p_k=p_mtd[idx[served]], n0=n0, i0=i0)
-        with np.errstate(divide="ignore"):  # zero-power MTD -> -inf dB
-            mta_sinr_db[served] = 10.0 * np.log10(sinr_mta(h_mta[idx[served]], mta_budget))
+    mta_sinr_db = np.full((n_drops, n_rb), np.nan)
+    served, mtd = idx >= 0, np.maximum(idx, 0)
+    mta_budget = LinkBudget(p_c=0.0, p_k=p_mtd[drops, mtd][served], n0=n0, i0=i0)
+    with np.errstate(divide="ignore"):  # zero-power MTD -> -inf dB
+        mta_sinr_db[served] = 10.0 * np.log10(sinr_mta(h_mta[drops, mtd][served], mta_budget))
 
     baseline_bps = None
-    if baseline_rng is not None:
-        b_idx = np.full(n_rb, -1, dtype=int)
-        order = baseline_rng.permutation(k)
+    if baseline_rngs is not None:
+        b_idx = np.full((n_drops, n_rb), -1)
         take = min(n_rb, k)
-        b_idx[:take] = order[:take]
+        for j, b_rng in enumerate(baseline_rngs):
+            b_idx[j, :take] = b_rng.permutation(k)[:take]
         baseline_bps = throughput(signal / (interference(b_idx) + n0), config.rb_bandwidth_hz)
 
     return DropResult(
@@ -190,35 +192,42 @@ def run_drop(
 # ---------------------------------------------------------------------------
 
 
-def _drop_chunk(args) -> list[DropResult]:
-    config, deployment, start, stop, with_baseline = args
-    out = []
-    for i in range(start, stop):
-        rng = _generator(config.seed, _NS_DROP, i)
-        b_rng = _generator(config.seed, _NS_BASELINE, i) if with_baseline else None
-        out.append(run_drop(config, deployment, rng, b_rng))
-    return out
+def _run_chunk(args) -> DropResult:
+    """Drops [start, stop) in blocks of ``block`` drops, each on its own substreams."""
+    config, deployment, start, stop, with_baseline, block = args
+    parts = []
+    for lo in range(start, stop, block):
+        ids = range(lo, min(lo + block, stop))
+        rngs = [_generator(config.seed, _NS_DROP, i) for i in ids]
+        b_rngs = [_generator(config.seed, _NS_BASELINE, i) for i in ids] if with_baseline else None
+        parts.append(run_drop(config, deployment, rngs, b_rngs))
+    return _concat(parts)
 
 
-def _run_drops(
-    config: SimConfig,
-    deployment: Deployment,
-    with_baseline: bool = False,
-    workers: int = 1,
-) -> list[DropResult]:
-    n = config.n_drops
+def _concat(parts: list[DropResult]) -> DropResult:
+    """One DropResult from consecutive blocks, in order."""
+    cols = {f.name: [getattr(p, f.name) for p in parts] for f in fields(DropResult)}
+    return DropResult(**{n: None if c[0] is None else np.concatenate(c) for n, c in cols.items()})
+
+
+def _pool(workers: int):
+    """A process pool for a whole experiment; None (serial) at one worker."""
     if workers <= 1:
-        return _drop_chunk((config, deployment, 0, n, with_baseline))
-    bounds = list(range(0, n, _POOL_CHUNK)) + [n]
-    tasks = [
-        (config, deployment, lo, hi, with_baseline)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    results: list[DropResult] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_drop_chunk, tasks):
-            results.extend(chunk)
-    return results
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _run_drops(config: SimConfig, deployment: Deployment, pool, with_baseline=False) -> DropResult:
+    """All ``config.n_drops`` drops of one sweep point, in drop order."""
+    n = config.n_drops
+    # sized here and sent with each task, so every worker uses the same blocks
+    block = max(1, BLOCK_ENTRIES // (config.n_rb * deployment.n_mtds))
+    step = n if pool is None else _POOL_CHUNK
+    tasks = [(config, deployment, lo, min(lo + step, n), with_baseline, block)
+             for lo in range(0, n, step)]
+    return _concat(list((map if pool is None else pool.map)(_run_chunk, tasks)))
 
 
 def _ci_halfwidth(values: np.ndarray) -> float:
@@ -257,31 +266,33 @@ def experiment_single_rb(
     base = replace(config, n_rb=1)
     if config.mtd_power_mode == "fixed":
         powers = list(power_values) if power_values is not None else [config.mtd_fixed_power_dbm]
+    elif power_values is not None:
+        raise ValueError("power_values sets fixed MTD powers; controlled power mode has none")
     else:
         powers = [None]
     full = sample_deployment(
         replace(base, k=ks[-1]), _generator(config.seed, _NS_DEPLOYMENT)
     )
     rows = []
-    for k in ks:
-        deployment = full.subset(k)
-        for p_dbm in powers:
-            cfg = replace(base, k=k)
-            if p_dbm is not None:
-                cfg = replace(cfg, mtd_fixed_power_dbm=float(p_dbm))
-            drops = _run_drops(cfg, deployment, workers=workers)
-            sinr_db = np.array([d.sinr_db[0] for d in drops])
-            out_rate = float(np.mean([d.outage[0] for d in drops]))
-            rows.append(
-                (
-                    k,
-                    float("nan") if p_dbm is None else float(p_dbm),
-                    float(np.mean(sinr_db)),
-                    float(np.median(sinr_db)),
-                    out_rate,
-                    _ci_halfwidth(sinr_db),
+    with _pool(workers) as pool:
+        for k in ks:
+            deployment = full.subset(k)
+            for p_dbm in powers:
+                cfg = replace(base, k=k)
+                if p_dbm is not None:
+                    cfg = replace(cfg, mtd_fixed_power_dbm=float(p_dbm))
+                drops = _run_drops(cfg, deployment, pool)
+                sinr_db = drops.sinr_db[:, 0]
+                rows.append(
+                    (
+                        k,
+                        float("nan") if p_dbm is None else float(p_dbm),
+                        float(np.mean(sinr_db)),
+                        float(np.median(sinr_db)),
+                        float(np.mean(drops.outage[:, 0])),
+                        _ci_halfwidth(sinr_db),
+                    )
                 )
-            )
     return ExperimentSummary(
         experiment="single-rb",
         columns=[
@@ -310,12 +321,13 @@ def experiment_throughput(
         replace(config, k=ks[-1]), _generator(config.seed, _NS_DEPLOYMENT)
     )
     rows = []
-    for k in ks:
-        cfg = replace(config, k=k)
-        drops = _run_drops(cfg, full.subset(k), with_baseline=True, workers=workers)
-        mean_bps = float(np.mean([d.throughput_bps for d in drops]))
-        base_bps = float(np.mean([d.baseline_throughput_bps for d in drops]))
-        rows.append((k, mean_bps, config.target_rate_bps, base_bps))
+    with _pool(workers) as pool:
+        for k in ks:
+            cfg = replace(config, k=k)
+            drops = _run_drops(cfg, full.subset(k), pool, with_baseline=True)
+            mean_bps = float(np.mean(drops.throughput_bps))
+            base_bps = float(np.mean(drops.baseline_throughput_bps))
+            rows.append((k, mean_bps, config.target_rate_bps, base_bps))
     return ExperimentSummary(
         experiment="throughput",
         columns=["k", "mean_throughput_bps", "target_rate_bps", "baseline_throughput_bps"],
@@ -327,16 +339,21 @@ def experiment_throughput(
 
 def estimate_outage(config: SimConfig, k: int, workers: int = 1) -> float:
     """Monte Carlo CU outage probability on one shared RB with K MTDs."""
+    with _pool(workers) as pool:
+        return _outage_rate(config, k, pool)
+
+
+def _outage_rate(config: SimConfig, k: int, pool) -> float:
     cfg = replace(config, n_rb=1, k=int(k))
     deployment = sample_deployment(cfg, _generator(config.seed, _NS_DEPLOYMENT))
-    drops = _run_drops(cfg, deployment, workers=workers)
-    return float(np.mean([d.outage[0] for d in drops]))
+    return float(np.mean(_run_drops(cfg, deployment, pool).outage[:, 0]))
 
 
 def experiment_outage(config: SimConfig, k_values, workers: int = 1) -> ExperimentSummary:
     """Outage probability vs K (one row per K value)."""
     ks = _check_k_values(k_values)
-    rows = [(k, config.delta_th_db, estimate_outage(config, k, workers)) for k in ks]
+    with _pool(workers) as pool:
+        rows = [(k, config.delta_th_db, _outage_rate(config, k, pool)) for k in ks]
     return ExperimentSummary(
         experiment="outage",
         columns=["k", "delta_th_db", "outage_rate"],

@@ -95,12 +95,14 @@ def sinr_mta(h_k, budget: LinkBudget):
     )
 
 
-def throughput(sinrs, rb_bandwidth_hz: float) -> float:
-    """Shannon sum rate over resource blocks: sum_n B log2(1 + SINR_n), bit/s."""
+def throughput(sinrs, rb_bandwidth_hz: float):
+    """Shannon sum rate over resource blocks (the last axis):
+    sum_n B log2(1 + SINR_n), bit/s; a float for one drop's SINR vector."""
     sinrs = np.asarray(sinrs, dtype=float)
     if np.any(sinrs < 0):
         raise ValueError("SINR must be nonnegative")
-    return float(np.sum(rb_bandwidth_hz * np.log2(1.0 + sinrs)))
+    rates = rb_bandwidth_hz * np.log2(1.0 + sinrs)
+    return float(np.sum(rates)) if rates.ndim < 2 else np.sum(rates, axis=-1)
 
 
 def outage_indicator(sinr, threshold):

@@ -8,16 +8,11 @@ MTD at lower power, and losers move on to their next-quietest unclaimed MTD.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .phy import LinkBudget
-
-#: enumeration guard for the brute-force optimal assignment
-_ORACLE_MAX = 8
-
 
 @dataclass
 class Assignment:
@@ -42,24 +37,15 @@ class Assignment:
         )
 
 
-def as_interference_matrix(matrix) -> np.ndarray:
-    """Validate and return an (N, K) matrix of nonnegative finite watts."""
+def as_interference_matrix(matrix, ndim: int = 2) -> np.ndarray:
+    """Validate and return an (N, K) matrix of nonnegative finite watts, or
+    with ``ndim=3`` a (D, N, K) block of D such matrices."""
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"interference matrix must be 2-D and nonempty, got shape {m.shape}")
+    if m.ndim != ndim or 0 in m.shape:
+        raise ValueError(f"interference matrix must be {ndim}-D and nonempty, got shape {m.shape}")
     if not np.all(np.isfinite(m)) or np.any(m < 0):
         raise ValueError("interference matrix entries must be finite and nonnegative")
     return m
-
-
-def select_min_interference(row) -> int:
-    """Index of the least-interfering MTD in one RB's row; ties -> lowest index."""
-    row = np.asarray(row, dtype=float)
-    if row.ndim != 1 or row.size == 0:
-        raise ValueError(f"expected a nonempty 1-D row, got shape {row.shape}")
-    if not np.all(np.isfinite(row)) or np.any(row < 0):
-        raise ValueError("row entries must be finite and nonnegative")
-    return int(np.argmin(row))
 
 
 def build_interference_matrix(beamformers, mtd_channels, powers) -> np.ndarray:
@@ -95,7 +81,7 @@ def build_interference_matrix(beamformers, mtd_channels, powers) -> np.ndarray:
     return p[None, :] * np.abs(np.einsum("nm,nkm->nk", w, h)) ** 2
 
 
-def match_assignments(matrix) -> Assignment:
+def match_assignments(matrix):
     """Resolve per-RB minimum-interference claims into an injective assignment.
 
     Round-based greedy: every unassigned RB proposes its least-interfering MTD
@@ -103,54 +89,38 @@ def match_assignments(matrix) -> Assignment:
     hears it at lower power (value ties -> lower RB index); losers re-propose
     against the shrinking unclaimed pool. Claims are never revoked, so at least
     one MTD settles per round. With K < N, the leftover RBs end unassigned.
+
+    ``matrix`` is one (N, K) matrix, giving an :class:`Assignment`, or a block
+    (D, N, K) of D drops' matrices, giving the (D, N) array of each RB's MTD
+    (-1: none); the rounds then run on all D drops at once.
     """
-    m = as_interference_matrix(matrix)
-    n_rb, n_mtd = m.shape
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim == 3:
+        return _match_block(as_interference_matrix(m, ndim=3))
+    idx = _match_block(as_interference_matrix(m)[None])[0]
+    return Assignment([None if j < 0 else int(j) for j in idx])
+
+
+def _match_block(m: np.ndarray) -> np.ndarray:
+    """The rounds on a validated (D, N, K) block, over all active (drop, RB)
+    pairs at once: each claims its row's argmin; sorting claims by (drop, MTD,
+    value, RB) puts each contested MTD's winner first in its group."""
+    n_drops, n_rb, _ = m.shape
     work = m.copy()
-    assigned: list[int | None] = [None] * n_rb
-    active = list(range(n_rb))
-    while active:
-        proposals: dict[int, list[int]] = {}
-        for rb in active:
-            col = int(np.argmin(work[rb]))
-            if np.isinf(work[rb, col]):
-                continue  # every MTD already claimed; this RB stays empty
-            proposals.setdefault(col, []).append(rb)
-        if not proposals:
-            break
-        losers = []
-        for col, rbs in proposals.items():
-            winner = min(rbs, key=lambda r: (m[r, col], r))
-            assigned[winner] = col
-            work[:, col] = np.inf
-            losers.extend(r for r in rbs if r != winner)
-        active = sorted(losers)
-    return Assignment(assigned)
-
-
-def optimal_assignment_oracle(matrix) -> Assignment:
-    """Minimum-total-interference injective assignment by full enumeration.
-
-    Test oracle only: requires N <= 8, K <= 8, and K >= N. Ties are broken by
-    lexicographic enumeration order (first minimum found is kept).
-    """
-    m = as_interference_matrix(matrix)
-    n_rb, n_mtd = m.shape
-    if n_rb > _ORACLE_MAX or n_mtd > _ORACLE_MAX:
-        raise ValueError(
-            f"oracle limited to {_ORACLE_MAX}x{_ORACLE_MAX}, got {n_rb}x{n_mtd}"
-        )
-    if n_mtd < n_rb:
-        raise ValueError(f"need at least as many MTDs as RBs, got {n_rb}x{n_mtd}")
-    best = None
-    best_total = np.inf
-    rows = range(n_rb)
-    for perm in itertools.permutations(range(n_mtd), n_rb):
-        total = sum(m[r, perm[r]] for r in rows)
-        if total < best_total:
-            best_total = total
-            best = perm
-    return Assignment(list(best))
+    assigned = np.full((n_drops, n_rb), -1)
+    drop, rb = np.divmod(np.arange(n_drops * n_rb), n_rb)
+    while drop.size:
+        rows = work[drop, rb]
+        mtd = rows.argmin(axis=1)
+        value = rows[np.arange(mtd.size), mtd]
+        live = value < np.inf  # an RB that finds every MTD claimed stays empty
+        order = np.lexsort((rb[live], value[live], mtd[live], drop[live]))
+        drop, rb, mtd = drop[live][order], rb[live][order], mtd[live][order]
+        win = (np.diff(drop, prepend=-1) != 0) | (np.diff(mtd, prepend=-1) != 0)
+        assigned[drop[win], rb[win]] = mtd[win]
+        work[drop[win], :, mtd[win]] = np.inf
+        drop, rb = drop[~win], rb[~win]
+    return assigned
 
 
 def mtd_power_control(h_k, budget: LinkBudget, target_sinr, p_max):

@@ -6,13 +6,24 @@ each MTD channel onto them. ``mtc_underlay.run_drop`` draws only the
 sufficient statistics of those channels (||h_c||^2 ~ g_c Gamma(M, 1) and
 |u^H h_k|^2 ~ g_k Exp(1)); ``tests/test_equivalence.py`` checks that both
 engines give the same output distributions.
+
+``match_assignments_loop`` is the matching rounds as a Python loop over one
+drop's RBs; ``mtc_underlay.match_assignments`` runs the same rounds on a
+whole block of drops at once, and ``tests/test_scheduler.py`` checks them
+against each other. ``optimal_assignment_oracle`` enumerates every
+assignment, the optimum the greedy rounds are measured against, and
+``select_min_interference`` is one RB's pick, the argmin of its row.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import fields
+
 import numpy as np
 
 from mtc_underlay import (
+    Assignment,
     Deployment,
     DropResult,
     LinkBudget,
@@ -21,7 +32,6 @@ from mtc_underlay import (
     cu_power_control,
     gen_channel_block,
     linear_gain,
-    match_assignments,
     mrc_weights,
     mtd_power_control,
     outage_indicator,
@@ -30,9 +40,95 @@ from mtc_underlay import (
     sinr_mta,
     throughput,
 )
+from mtc_underlay.scheduler import as_interference_matrix
+
+#: enumeration guard for the brute-force optimal assignment
+_ORACLE_MAX = 8
 
 
-def run_drop_vector(
+def select_min_interference(row) -> int:
+    """Index of the least-interfering MTD in one RB's row; ties -> lowest index."""
+    row = np.asarray(row, dtype=float)
+    if row.ndim != 1 or row.size == 0:
+        raise ValueError(f"expected a nonempty 1-D row, got shape {row.shape}")
+    if not np.all(np.isfinite(row)) or np.any(row < 0):
+        raise ValueError("row entries must be finite and nonnegative")
+    return int(np.argmin(row))
+
+
+def match_assignments_loop(matrix) -> Assignment:
+    """Resolve per-RB minimum-interference claims into an injective assignment.
+
+    Round-based greedy: every unassigned RB proposes its least-interfering MTD
+    among those not yet claimed; each contested MTD goes to the proposer that
+    hears it at lower power (value ties -> lower RB index); losers re-propose
+    against the shrinking unclaimed pool. Claims are never revoked, so at least
+    one MTD settles per round. With K < N, the leftover RBs end unassigned.
+    """
+    m = as_interference_matrix(matrix)
+    n_rb, n_mtd = m.shape
+    work = m.copy()
+    assigned: list[int | None] = [None] * n_rb
+    active = list(range(n_rb))
+    while active:
+        proposals: dict[int, list[int]] = {}
+        for rb in active:
+            col = int(np.argmin(work[rb]))
+            if np.isinf(work[rb, col]):
+                continue  # every MTD already claimed; this RB stays empty
+            proposals.setdefault(col, []).append(rb)
+        if not proposals:
+            break
+        losers = []
+        for col, rbs in proposals.items():
+            winner = min(rbs, key=lambda r: (m[r, col], r))
+            assigned[winner] = col
+            work[:, col] = np.inf
+            losers.extend(r for r in rbs if r != winner)
+        active = sorted(losers)
+    return Assignment(assigned)
+
+
+def optimal_assignment_oracle(matrix) -> Assignment:
+    """Minimum-total-interference injective assignment by full enumeration.
+
+    Test oracle only: requires N <= 8, K <= 8, and K >= N. Ties are broken by
+    lexicographic enumeration order (first minimum found is kept).
+    """
+    m = as_interference_matrix(matrix)
+    n_rb, n_mtd = m.shape
+    if n_rb > _ORACLE_MAX or n_mtd > _ORACLE_MAX:
+        raise ValueError(
+            f"oracle limited to {_ORACLE_MAX}x{_ORACLE_MAX}, got {n_rb}x{n_mtd}"
+        )
+    if n_mtd < n_rb:
+        raise ValueError(f"need at least as many MTDs as RBs, got {n_rb}x{n_mtd}")
+    best = None
+    best_total = np.inf
+    rows = range(n_rb)
+    for perm in itertools.permutations(range(n_mtd), n_rb):
+        total = sum(m[r, perm[r]] for r in rows)
+        if total < best_total:
+            best_total = total
+            best = perm
+    return Assignment(list(best))
+
+
+def run_drop_vector(config: SimConfig, deployment: Deployment, rngs, baseline_rngs=None) -> DropResult:
+    """The vector-channel engine with ``run_drop``'s block signature: one drop
+    per generator, results stacked drop axis first."""
+    b_rngs = [None] * len(rngs) if baseline_rngs is None else baseline_rngs
+    drops = [_vector_drop(config, deployment, r, b) for r, b in zip(rngs, b_rngs)]
+    return DropResult(
+        **{
+            f.name: None if getattr(drops[0], f.name) is None
+            else np.stack([getattr(d, f.name) for d in drops])
+            for f in fields(DropResult)
+        }
+    )
+
+
+def _vector_drop(
     config: SimConfig,
     deployment: Deployment,
     rng: np.random.Generator,
@@ -70,7 +166,7 @@ def run_drop_vector(
     w = mrc_weights(h_c)
     w = w / np.linalg.norm(w, axis=-1, keepdims=True)
     matrix = build_interference_matrix(w, h_kb, p_mtd)
-    assignment = match_assignments(matrix)
+    assignment = match_assignments_loop(matrix)
 
     p_c = cu_power_control(h_c, n0, config.cu_target_sinr, config.p_max_w)
 

@@ -20,11 +20,10 @@ from mtc_underlay import (
     experiment_throughput,
     match_assignments,
     mrc_weights,
-    optimal_assignment_oracle,
-    select_min_interference,
     sinr_cellular,
     verify_asymptotic,
 )
+from oracles import optimal_assignment_oracle, select_min_interference
 
 _SWEEP_KS = [1, 10, 100, 1000]
 _THROUGHPUT_KS = [20, 50, 100, 200, 500, 1000]
@@ -227,8 +226,11 @@ def test_criterion_9_reruns_byte_identical(tmp_path):
     }
     ok = True
     for name, extra in cases.items():
+        # asymptotic runs serially: its third run shows a second worker is
+        # refused (usage error, exit 1), not silently ignored
+        pooled = 1 if name == "asymptotic" else 2
         blobs = []
-        for tag, workers in (("a", 1), ("b", 1), ("c", 2)):
+        for tag, workers in (("a", 1), ("b", 1), ("c", pooled)):
             out = tmp_path / f"{name}-{tag}"
             rc = cli.main(
                 [name, "--seed", "99", "--out", str(out), "--workers", str(workers), *extra]
@@ -236,4 +238,16 @@ def test_criterion_9_reruns_byte_identical(tmp_path):
             ok &= rc == 0
             blobs.append((out / f"{name}.csv").read_bytes())
         ok &= blobs[0] == blobs[1] == blobs[2]
-    _report(9, ok, "all four experiments byte-identical across reruns and worker counts")
+    try:
+        cli.main(["asymptotic", "--out", str(tmp_path / "refused"), "--workers", "2",
+                  *cases["asymptotic"]])
+        refused = False
+    except SystemExit as exc:
+        refused = exc.code == 1 and not (tmp_path / "refused").exists()
+    ok &= refused
+    _report(
+        9,
+        ok,
+        "all four experiments byte-identical across reruns, the three drop experiments "
+        "across worker counts; asymptotic refuses --workers 2",
+    )

@@ -98,6 +98,33 @@ def test_config_file_round_trip(tmp_path):
     assert manifest["config"]["mtd_fixed_power_dbm"] == -3.0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--power-mode", "controlled"],
+        ["--power-mode", "fixed"],
+        ["--mtd-power-dbm", "0"],
+        ["--workers", "2"],
+    ],
+)
+def test_asymptotic_rejects_flags_it_cannot_honour(flags, tmp_path, capsys):
+    out = tmp_path / "asym"
+    with pytest.raises(SystemExit) as exc:
+        _run(["asymptotic", "--out", str(out), "--drops", "50", "--k-values", "1,2", *flags])
+    assert exc.value.code == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_asymptotic_accepts_one_worker(tmp_path):
+    out = tmp_path / "asym"
+    args = ["asymptotic", "--out", str(out), "--drops", "50", "--k-values", "1,2"]
+    assert _run(args + ["--workers", "1"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["workers"] == 1
+    assert _run(args + ["--out", str(tmp_path / "default")]) == 0
+    assert _read(out, "asymptotic.csv") == _read(tmp_path / "default", "asymptotic.csv")
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         _run(["no-such-command"])

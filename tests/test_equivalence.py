@@ -22,13 +22,15 @@ import pytest
 from scipy import stats
 
 from mtc_underlay import SimConfig, run_drop, sample_deployment
-from mtc_underlay.montecarlo import _NS_BASELINE, _NS_DEPLOYMENT, _NS_DROP, _generator
+from mtc_underlay.montecarlo import _NS_BASELINE, _NS_DEPLOYMENT, _NS_DROP, _concat, _generator
 from oracles import run_drop_vector, vector_channel_statistics
 
 #: root seeds of the deployment and of each engine's drops (disjoint streams)
 _DEPLOYMENT_SEED, _KERNEL_SEED, _ORACLE_SEED = 1, 2, 3
 _DROPS = 2000
 _PAPER_DROPS = 10_000
+#: drops per engine call
+_BLOCK = 100
 _KS_P_MIN = 1e-3
 _Z_MAX = 1.96
 
@@ -38,15 +40,17 @@ def _deployment(cfg: SimConfig, k: int):
 
 
 def _run(engine, cfg, deployment, seed, n_drops, with_baseline):
-    return [
-        engine(
+    """Every drop's outputs, drop axis first, run ``_BLOCK`` drops per call."""
+    parts = []
+    for lo in range(0, n_drops, _BLOCK):
+        ids = range(lo, min(lo + _BLOCK, n_drops))
+        parts.append(engine(
             cfg,
             deployment,
-            _generator(seed, _NS_DROP, i),
-            _generator(seed, _NS_BASELINE, i) if with_baseline else None,
-        )
-        for i in range(n_drops)
-    ]
+            [_generator(seed, _NS_DROP, i) for i in ids],
+            [_generator(seed, _NS_BASELINE, i) for i in ids] if with_baseline else None,
+        ))
+    return _concat(parts)
 
 
 def _z(a: np.ndarray, b: np.ndarray) -> float:
@@ -71,13 +75,14 @@ def compare_engines(cfg: SimConfig, deployment, n_drops: int, with_baseline=Fals
         ("oracle", run_drop_vector, _ORACLE_SEED),
     ):
         drops = _run(engine, cfg, deployment, seed, n_drops, with_baseline)
+        i = np.arange(n_drops)
         samples[name] = {
-            "sinr_db": np.array([d.sinr_db[i % n_rb] for i, d in enumerate(drops)]),
-            "outage": np.array([d.outage.mean() for d in drops]),
-            "throughput": np.array([d.throughput_bps for d in drops]),
+            "sinr_db": drops.sinr_db[i, i % n_rb],
+            "outage": drops.outage.mean(axis=1),
+            "throughput": drops.throughput_bps,
         }
         if with_baseline:
-            samples[name]["baseline"] = np.array([d.baseline_throughput_bps for d in drops])
+            samples[name]["baseline"] = drops.baseline_throughput_bps
     kernel, oracle = samples["kernel"], samples["oracle"]
     out["ks_p"] = float(stats.ks_2samp(kernel["sinr_db"], oracle["sinr_db"]).pvalue)
     for key in kernel.keys() - {"sinr_db"}:

@@ -1,15 +1,17 @@
 """Drop mechanics, experiment aggregation, and statistical oracles."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mtc_underlay import (
+    DropResult,
     SimConfig,
     estimate_outage,
+    experiment_outage,
     experiment_single_rb,
     experiment_throughput,
     linear_gain,
@@ -17,28 +19,33 @@ from mtc_underlay import (
     sample_deployment,
     verify_asymptotic,
 )
+from mtc_underlay import montecarlo
 from mtc_underlay.montecarlo import _generator
+
+DATA = Path(__file__).parent / "data"
 
 
 def _drop(cfg, seed=0, drop_seed=1):
+    """One drop, as a block of one."""
     dep = sample_deployment(cfg, np.random.default_rng(seed))
-    return run_drop(cfg, dep, np.random.default_rng(drop_seed))
+    return run_drop(cfg, dep, [np.random.default_rng(drop_seed)])
 
 
 def test_run_drop_shapes_and_ranges():
     cfg = SimConfig(k=30, n_rb=20)
     d = _drop(cfg)
-    assert d.sinr_db.shape == (20,)
-    assert d.selected_mtd.shape == (20,)
-    assert d.eff_interference_w.shape == (20,)
-    assert d.mta_sinr_db.shape == (20,)
-    assert d.outage.shape == (20,)
+    assert d.sinr_db.shape == (1, 20)
+    assert d.selected_mtd.shape == (1, 20)
+    assert d.eff_interference_w.shape == (1, 20)
+    assert d.mta_sinr_db.shape == (1, 20)
+    assert d.outage.shape == (1, 20)
+    assert d.throughput_bps.shape == (1,)
     assert np.all(np.isfinite(d.sinr_db))
     assert np.all(d.eff_interference_w >= 0)
     assert np.all((d.selected_mtd >= 0) & (d.selected_mtd < 30))
     # injective across RBs
-    assert len(set(d.selected_mtd.tolist())) == 20
-    assert d.throughput_bps > 0
+    assert len(set(d.selected_mtd[0].tolist())) == 20
+    assert d.throughput_bps[0] > 0
     assert d.baseline_throughput_bps is None
 
 
@@ -49,7 +56,23 @@ def test_run_drop_deterministic():
     np.testing.assert_array_equal(a.sinr_db, b.sinr_db)
     np.testing.assert_array_equal(a.selected_mtd, b.selected_mtd)
     np.testing.assert_array_equal(a.eff_interference_w, b.eff_interference_w)
-    assert a.throughput_bps == b.throughput_bps
+    np.testing.assert_array_equal(a.throughput_bps, b.throughput_bps)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "controlled"])
+@pytest.mark.parametrize("n_rb, k", [(20, 5), (3, 40), (1, 7)])
+def test_block_equals_its_drops_one_at_a_time(mode, n_rb, k):
+    # a block is scored at once; every drop in it must come out as if alone
+    cfg = SimConfig(k=k, n_rb=n_rb, mtd_power_mode=mode)
+    dep = sample_deployment(cfg, np.random.default_rng(2))
+    ids = range(6)
+    block = run_drop(
+        cfg, dep, [_generator(5, 1, i) for i in ids], [_generator(5, 2, i) for i in ids]
+    )
+    singles = [run_drop(cfg, dep, [_generator(5, 1, i)], [_generator(5, 2, i)]) for i in ids]
+    for f in fields(DropResult):
+        stacked = np.concatenate([getattr(d, f.name) for d in singles])
+        np.testing.assert_array_equal(getattr(block, f.name), stacked, err_msg=f.name)
 
 
 def test_run_drop_fewer_mtds_than_rbs():
@@ -69,14 +92,14 @@ def test_zero_mtd_power_hits_cu_target_exactly():
     for drop_seed in range(5):
         d = _drop(cfg, seed=1, drop_seed=drop_seed)
         np.testing.assert_allclose(d.sinr_db, 10.0, atol=1e-9)
-        assert d.throughput_bps == pytest.approx(cfg.target_rate_bps, rel=1e-12)
+        assert d.throughput_bps[0] == pytest.approx(cfg.target_rate_bps, rel=1e-12)
         assert not d.outage.any()
 
 
 def test_selected_mtd_is_row_argmin_single_rb():
     cfg = SimConfig(k=1, n_rb=1)
     d = _drop(cfg)
-    assert d.selected_mtd.tolist() == [0]
+    assert d.selected_mtd.tolist() == [[0]]
 
 
 # --- experiment aggregation ---------------------------------------------------
@@ -104,6 +127,12 @@ def test_single_rb_controlled_mode_power_column_nan():
     s = experiment_single_rb(cfg, [2])
     assert len(s.rows) == 1
     assert math.isnan(s.rows[0][1])
+
+
+def test_single_rb_controlled_mode_rejects_power_values():
+    cfg = SimConfig(n_drops=10, mtd_power_mode="controlled")
+    with pytest.raises(ValueError, match="controlled"):
+        experiment_single_rb(cfg, [2], power_values=[0.0])
 
 
 def test_more_interferer_choices_help():
@@ -233,6 +262,43 @@ def test_golden_single_rb_csv():
     s = experiment_single_rb(cfg, [1, 10, 100], power_values=[0.0])
     golden = Path(__file__).parent / "data" / "golden_single_rb.csv"
     assert s.to_csv_text() == golden.read_text()
+
+
+# The two goldens below were written by the per-drop engine, before drops ran
+# in blocks: N = 20 with K below, at and above N (random baseline included),
+# and controlled MTD power, where some MTDs' power binds at the cap.
+_THROUGHPUT_GOLDEN = (SimConfig(n_drops=200), [5, 20, 50])
+_OUTAGE_GOLDEN = (
+    SimConfig(n_drops=300, mtd_power_mode="controlled", delta_th_db=9.5, mtd_target_sinr_db=45.0),
+    [1, 3, 10, 100],
+)
+
+
+def test_golden_throughput_csv():
+    s = experiment_throughput(*_THROUGHPUT_GOLDEN)
+    assert s.to_csv_text() == (DATA / "golden_throughput.csv").read_text()
+
+
+def test_golden_outage_controlled_csv():
+    s = experiment_outage(*_OUTAGE_GOLDEN)
+    assert s.to_csv_text() == (DATA / "golden_outage_controlled.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda w: experiment_throughput(replace(SimConfig(n_drops=300), n_rb=8), [3, 8, 40], w),
+        lambda w: experiment_single_rb(SimConfig(n_drops=300), [1, 30], [0.0, -10.0], w),
+        lambda w: experiment_outage(_OUTAGE_GOLDEN[0], [1, 3, 10, 100], w),
+    ],
+    ids=["throughput", "single-rb", "outage-controlled"],
+)
+def test_block_size_and_workers_do_not_change_csv(run, monkeypatch):
+    # 300 drops make two pool chunks at --workers 2
+    reference = run(1).to_csv_text()
+    monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", 1)  # one drop per block
+    assert run(1).to_csv_text() == reference
+    assert run(2).to_csv_text() == reference
 
 
 def test_substream_independence_of_drop_index():

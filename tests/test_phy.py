@@ -175,6 +175,13 @@ def test_throughput_additive_and_monotone():
         throughput([-0.5], 180e3)
 
 
+def test_throughput_sums_each_drop_of_a_block():
+    block = np.array([[10.0, 0.0, 3.0], [1.0, 2.0, 4.0]])
+    rates = throughput(block, 180e3)
+    assert rates.shape == (2,)
+    assert rates.tolist() == [throughput(row, 180e3) for row in block]
+
+
 # --- outage and interference tests -------------------------------------------
 
 

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mtc_underlay import (
     Assignment,
@@ -14,11 +17,10 @@ from mtc_underlay import (
     match_assignments,
     mrc_weights,
     mtd_power_control,
-    optimal_assignment_oracle,
-    select_min_interference,
     sinr_cellular,
     sinr_mta,
 )
+from oracles import match_assignments_loop, optimal_assignment_oracle, select_min_interference
 
 
 # --- single-row selection ----------------------------------------------------
@@ -176,6 +178,31 @@ def test_match_rejects_bad_matrices():
         match_assignments(np.full((2, 2), np.inf))
     with pytest.raises(ValueError):
         match_assignments(np.ones(3))
+    with pytest.raises(ValueError):
+        match_assignments(np.ones((2, 2, 2)) * -1.0)
+    with pytest.raises(ValueError):
+        match_assignments(np.ones((0, 2, 2)))
+    with pytest.raises(ValueError):
+        match_assignments(np.ones((1, 2, 2, 2)))
+
+
+# Small integer levels make value ties (two RBs claiming one MTD at equal
+# power) and argmin ties (equal entries within a row) common; K < N is drawn
+# as often as K >= N.
+_blocks = st.tuples(
+    st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)
+).flatmap(lambda shape: arrays(np.float64, shape, elements=st.integers(0, 3).map(float)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_blocks)
+def test_block_matcher_equals_loop_oracle(block):
+    idx = match_assignments(block)
+    assert idx.shape == block.shape[:2]
+    for d, matrix in enumerate(block):
+        expected = [-1 if m is None else m for m in match_assignments_loop(matrix).rb_to_mtd]
+        assert idx[d].tolist() == expected
+        assert match_assignments(matrix).rb_to_mtd == match_assignments_loop(matrix).rb_to_mtd
 
 
 def test_nested_candidates_never_increase_row_minimum():
