@@ -6,19 +6,14 @@ from .channel import (
     Deployment,
     GeometryError,
     Position,
-    gen_channel,
-    gen_channel_block,
     linear_gain,
-    pathloss_db,
     sample_cu_position,
     sample_deployment,
 )
 from .config import ConfigError, SimConfig, parse_config, parse_config_text, serialize_config
 from .montecarlo import (
-    AsymptoticResult,
     DropResult,
     ExperimentSummary,
-    estimate_outage,
     experiment_outage,
     experiment_single_rb,
     experiment_throughput,
@@ -26,30 +21,22 @@ from .montecarlo import (
     verify_asymptotic,
 )
 from .phy import (
-    DegenerateChannelError,
     LinkBudget,
-    effective_interference,
-    interference_criterion,
-    mrc_weights,
     outage_indicator,
-    sinr_cellular,
     sinr_mta,
     throughput,
 )
 from .scheduler import (
     Assignment,
-    build_interference_matrix,
     cu_power_control,
     match_assignments,
     mtd_power_control,
 )
 
 __all__ = [
-    "AsymptoticResult",
     "Assignment",
     "BS_POSITION",
     "ConfigError",
-    "DegenerateChannelError",
     "Deployment",
     "DropResult",
     "ExperimentSummary",
@@ -57,19 +44,12 @@ __all__ = [
     "LinkBudget",
     "Position",
     "SimConfig",
-    "build_interference_matrix",
     "cu_power_control",
-    "effective_interference",
-    "estimate_outage",
     "experiment_outage",
     "experiment_single_rb",
     "experiment_throughput",
-    "gen_channel",
-    "gen_channel_block",
-    "interference_criterion",
     "linear_gain",
     "match_assignments",
-    "mrc_weights",
     "mtd_power_control",
     "outage_indicator",
     "parse_config",
@@ -78,7 +58,6 @@ __all__ = [
     "sample_cu_position",
     "sample_deployment",
     "serialize_config",
-    "sinr_cellular",
     "sinr_mta",
     "throughput",
     "verify_asymptotic",

@@ -1,4 +1,4 @@
-"""Cell geometry, node placement, and Rayleigh-faded channel generation.
+"""Cell geometry, node placement, and path loss.
 
 The base station sits at the origin of a disk cell. A machine-type aggregator
 (MTA) is placed uniformly in the cell and serves a cluster of machine-type
@@ -53,7 +53,6 @@ class Deployment:
     bs: Position
     mta: Position
     mtds: list[Position]
-    cu: Position | None = None
 
     def __post_init__(self):
         self._bs_d = _read_only([p.r for p in self.mtds])
@@ -90,22 +89,6 @@ def _read_only(values) -> np.ndarray:
     a = np.array(values, dtype=float)
     a.flags.writeable = False
     return a
-
-
-def pathloss_db(distance_m: float, min_distance_m: float = 10.0) -> float:
-    """Macro-cell path loss 128.1 + 36.7 log10(d [km]) in dB.
-
-    Parameters
-    ----------
-    distance_m:
-        Link distance in meters. Must be at least ``min_distance_m``; the
-        model has no validity below that.
-    """
-    if distance_m < min_distance_m:
-        raise GeometryError(
-            f"distance {distance_m} m below model floor {min_distance_m} m"
-        )
-    return 128.1 + 36.7 * math.log10(distance_m / 1000.0)
 
 
 def linear_gain(distance_m, min_distance_m: float = 10.0):
@@ -174,53 +157,3 @@ def _rejection_sample(draw, accept, what: str) -> Position:
         f"{what}: no feasible position found in {_MAX_REJECTION_TRIES} draws; "
         f"the configured geometry leaves (almost) no admissible region"
     )
-
-
-def gen_channel(
-    distance_m: float,
-    antennas: int,
-    rng: np.random.Generator,
-    min_distance_m: float = 10.0,
-) -> np.ndarray:
-    """One Rayleigh channel vector toward the ``antennas``-element BS array.
-
-    Entries are i.i.d. circularly-symmetric complex Gaussians with per-entry
-    power equal to the distance-dependent gain g, so E[||h||^2] = antennas * g.
-
-    Returns
-    -------
-    np.ndarray, shape (antennas,), complex
-    """
-    g = linear_gain(distance_m, min_distance_m)
-    while True:
-        h = math.sqrt(g) * _cn01(antennas, rng)
-        if np.any(h != 0):  # degenerate all-zero draw has probability zero
-            return h
-
-
-def gen_channel_block(
-    distances_m,
-    n_rb: int,
-    antennas: int,
-    rng: np.random.Generator,
-    min_distance_m: float = 10.0,
-) -> np.ndarray:
-    """Batched equivalent of :func:`gen_channel`.
-
-    Draws one independent channel per (resource block, transmitter, antenna);
-    frequency-flat within an RB, independent across RBs.
-
-    Returns
-    -------
-    np.ndarray, shape (n_rb, len(distances_m), antennas), complex
-    """
-    g = np.atleast_1d(linear_gain(distances_m, min_distance_m))
-    h = _cn01((n_rb, g.size, antennas), rng)
-    return np.sqrt(g)[None, :, None] * h
-
-
-def _cn01(shape, rng: np.random.Generator) -> np.ndarray:
-    """Standard circularly-symmetric complex Gaussian, unit power per entry."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -67,6 +68,8 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated number list, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("empty list")
+    if any(math.isnan(v) or v == math.inf for v in values):
+        raise argparse.ArgumentTypeError(f"powers must be numbers or -inf (off), got {text!r}")
     return values
 
 
@@ -138,13 +141,8 @@ def _execute(args, config: SimConfig):
     elif args.experiment == "outage":
         summary = experiment_outage(config, k_values, workers=args.workers)
     else:
-        result = verify_asymptotic(config, k_values)
-        lines = ["k,p_empirical,p_closed_form"]
-        for k, emp, closed in zip(result.k_values, result.p_empirical, result.p_closed_form):
-            lines.append(f"{k},{emp:.9g},{closed:.9g}")
-        extras["phi_at_delta_i"] = result.phi
-        return "\n".join(lines) + "\n", extras
-    return summary.to_csv_text(), extras
+        summary = verify_asymptotic(config, k_values)
+    return summary.to_csv_text(), {**extras, **summary.manifest}
 
 
 def main(argv=None) -> int:

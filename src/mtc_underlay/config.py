@@ -50,6 +50,12 @@ class SimConfig:
     delta_i_dbm: float = -100.0            # harmless-interference threshold
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # -inf dBm is 0 W: MTDs that never transmit
+            if (isinstance(value, float) and not math.isfinite(value)
+                    and (f.name, value) != ("mtd_fixed_power_dbm", -math.inf)):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.antennas < 1:
             raise ConfigError(f"antennas must be >= 1, got {self.antennas}")
         if self.cell_radius_m <= 0:

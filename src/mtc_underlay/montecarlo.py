@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -72,30 +72,18 @@ class DropResult:
 
 @dataclass
 class ExperimentSummary:
-    """Aggregate table of one experiment: one row per sweep point."""
+    """Aggregate table of one experiment, one row per sweep point, and the
+    scalars its run manifest records beside the table."""
 
-    experiment: str
     columns: list[str]
     rows: list[tuple]
-    n_drops: int
-    seed: int
+    manifest: dict = field(default_factory=dict)
 
     def to_csv_text(self) -> str:
         lines = [",".join(self.columns)]
         for row in self.rows:
             lines.append(",".join(_format_cell(v) for v in row))
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class AsymptoticResult:
-    """Empirical vs closed-form probability that the quietest of K MTDs falls
-    below the harmless-interference threshold."""
-
-    k_values: list[int]
-    p_empirical: list[float]
-    p_closed_form: list[float]
-    phi: float  # single-MTD CDF value at the threshold
 
 
 def _format_cell(value) -> str:
@@ -230,6 +218,22 @@ def _run_drops(config: SimConfig, deployment: Deployment, pool, with_baseline=Fa
     return _concat(list((map if pool is None else pool.map)(_run_chunk, tasks)))
 
 
+def _sweep(points: list[SimConfig], row, workers: int = 1, with_baseline=False) -> list[tuple]:
+    """Run every sweep point's drops and reduce them to the point's table row.
+
+    ``points`` are configs in ascending K. One deployment is sampled at the
+    largest K from the (seed, 0) substream and sliced per point, so larger K
+    means a strictly richer selection pool; one pool serves every point.
+    ``row(point, drops)`` is applied as soon as a point's drops return, so one
+    point's drops are held at a time.
+    """
+    for point in points:
+        point.validate()
+    full = sample_deployment(points[-1], _generator(points[-1].seed, _NS_DEPLOYMENT))
+    with _pool(workers) as pool:
+        return [row(p, _run_drops(p, full.subset(p.k), pool, with_baseline)) for p in points]
+
+
 def _ci_halfwidth(values: np.ndarray) -> float:
     """Normal-approximation 95% half-width for the mean of ``values``."""
     if values.size < 2:
@@ -245,8 +249,21 @@ def _check_k_values(k_values) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: views over one sweep
 # ---------------------------------------------------------------------------
+
+
+def _single_rb_points(config: SimConfig, k_values, power_values=None) -> list[SimConfig]:
+    """Sweep points on one shared RB: K and, in fixed power mode, MTD power
+    in dBm, K first."""
+    ks = _check_k_values(k_values)
+    base = replace(config, n_rb=1)
+    if config.mtd_power_mode == "fixed":
+        powers = [config.mtd_fixed_power_dbm] if power_values is None else list(power_values)
+        return [replace(base, k=k, mtd_fixed_power_dbm=float(p)) for k in ks for p in powers]
+    if power_values is not None:
+        raise ValueError("power_values sets fixed MTD powers; controlled power mode has none")
+    return [replace(base, k=k) for k in ks]
 
 
 def experiment_single_rb(
@@ -256,45 +273,24 @@ def experiment_single_rb(
     workers: int = 1,
 ) -> ExperimentSummary:
     """Cellular SINR statistics on one shared RB, swept over K (and, in fixed
-    power mode, over MTD transmit power in dBm).
+    power mode, over MTD transmit power in dBm), K first.
 
-    The deployment is sampled once at max(K) and sliced per point, so larger K
-    means a strictly richer selection pool. In controlled power mode the
-    power column is NaN (power is per-MTD, set by the control law).
+    In controlled power mode the power column is NaN (power is per-MTD, set
+    by the control law).
     """
-    ks = _check_k_values(k_values)
-    base = replace(config, n_rb=1)
-    if config.mtd_power_mode == "fixed":
-        powers = list(power_values) if power_values is not None else [config.mtd_fixed_power_dbm]
-    elif power_values is not None:
-        raise ValueError("power_values sets fixed MTD powers; controlled power mode has none")
-    else:
-        powers = [None]
-    full = sample_deployment(
-        replace(base, k=ks[-1]), _generator(config.seed, _NS_DEPLOYMENT)
-    )
-    rows = []
-    with _pool(workers) as pool:
-        for k in ks:
-            deployment = full.subset(k)
-            for p_dbm in powers:
-                cfg = replace(base, k=k)
-                if p_dbm is not None:
-                    cfg = replace(cfg, mtd_fixed_power_dbm=float(p_dbm))
-                drops = _run_drops(cfg, deployment, pool)
-                sinr_db = drops.sinr_db[:, 0]
-                rows.append(
-                    (
-                        k,
-                        float("nan") if p_dbm is None else float(p_dbm),
-                        float(np.mean(sinr_db)),
-                        float(np.median(sinr_db)),
-                        float(np.mean(drops.outage[:, 0])),
-                        _ci_halfwidth(sinr_db),
-                    )
-                )
+
+    def row(cfg: SimConfig, drops: DropResult) -> tuple:
+        sinr_db = drops.sinr_db[:, 0]
+        return (
+            cfg.k,
+            cfg.mtd_fixed_power_dbm if cfg.mtd_power_mode == "fixed" else float("nan"),
+            float(np.mean(sinr_db)),
+            float(np.median(sinr_db)),
+            float(np.mean(drops.outage[:, 0])),
+            _ci_halfwidth(sinr_db),
+        )
+
     return ExperimentSummary(
-        experiment="single-rb",
         columns=[
             "k",
             "mtd_power_dbm",
@@ -303,9 +299,7 @@ def experiment_single_rb(
             "outage_rate",
             "ci_halfwidth_db",
         ],
-        rows=rows,
-        n_drops=config.n_drops,
-        seed=config.seed,
+        rows=_sweep(_single_rb_points(config, k_values, power_values), row, workers),
     )
 
 
@@ -316,50 +310,34 @@ def experiment_throughput(
 ) -> ExperimentSummary:
     """Mean CU throughput over ``n_rb`` shared RBs vs K, with the random-
     assignment baseline scored on the same drops."""
-    ks = _check_k_values(k_values)
-    full = sample_deployment(
-        replace(config, k=ks[-1]), _generator(config.seed, _NS_DEPLOYMENT)
-    )
-    rows = []
-    with _pool(workers) as pool:
-        for k in ks:
-            cfg = replace(config, k=k)
-            drops = _run_drops(cfg, full.subset(k), pool, with_baseline=True)
-            mean_bps = float(np.mean(drops.throughput_bps))
-            base_bps = float(np.mean(drops.baseline_throughput_bps))
-            rows.append((k, mean_bps, config.target_rate_bps, base_bps))
+
+    def row(cfg: SimConfig, drops: DropResult) -> tuple:
+        return (
+            cfg.k,
+            float(np.mean(drops.throughput_bps)),
+            cfg.target_rate_bps,
+            float(np.mean(drops.baseline_throughput_bps)),
+        )
+
+    points = [replace(config, k=k) for k in _check_k_values(k_values)]
     return ExperimentSummary(
-        experiment="throughput",
         columns=["k", "mean_throughput_bps", "target_rate_bps", "baseline_throughput_bps"],
-        rows=rows,
-        n_drops=config.n_drops,
-        seed=config.seed,
+        rows=_sweep(points, row, workers, with_baseline=True),
     )
-
-
-def estimate_outage(config: SimConfig, k: int, workers: int = 1) -> float:
-    """Monte Carlo CU outage probability on one shared RB with K MTDs."""
-    with _pool(workers) as pool:
-        return _outage_rate(config, k, pool)
-
-
-def _outage_rate(config: SimConfig, k: int, pool) -> float:
-    cfg = replace(config, n_rb=1, k=int(k))
-    deployment = sample_deployment(cfg, _generator(config.seed, _NS_DEPLOYMENT))
-    return float(np.mean(_run_drops(cfg, deployment, pool).outage[:, 0]))
 
 
 def experiment_outage(config: SimConfig, k_values, workers: int = 1) -> ExperimentSummary:
-    """Outage probability vs K (one row per K value)."""
-    ks = _check_k_values(k_values)
-    with _pool(workers) as pool:
-        rows = [(k, config.delta_th_db, _outage_rate(config, k, pool)) for k in ks]
+    """CU outage probability on one shared RB vs K: the drops of
+    :func:`experiment_single_rb` at the configured MTD power, reduced to
+    their outage rate alone (``np.median`` would import ``numpy.ma``, about
+    2 MB, into every outage run)."""
+
+    def row(cfg: SimConfig, drops: DropResult) -> tuple:
+        return (cfg.k, cfg.delta_th_db, float(np.mean(drops.outage[:, 0])))
+
     return ExperimentSummary(
-        experiment="outage",
         columns=["k", "delta_th_db", "outage_rate"],
-        rows=rows,
-        n_drops=config.n_drops,
-        seed=config.seed,
+        rows=_sweep(_single_rb_points(config, k_values), row, workers),
     )
 
 
@@ -368,27 +346,24 @@ def verify_asymptotic(
     k_values,
     delta_i: float | None = None,
     n_samples: int | None = None,
-    mtd_distance_m: float | None = None,
-) -> AsymptoticResult:
+) -> ExperimentSummary:
     """Check the min-interference order statistic against its product form.
 
-    With all K MTD channels i.i.d. (common BS distance), the probability that
-    the quietest MTD projects below ``delta_i`` on the serving direction obeys
-    P(X_min < delta_i) = 1 - (1 - Phi(delta_i))^K, Phi being the single-MTD
-    CDF. Monte Carlo estimates (nested prefix minima, hence monotone in K) are
+    With all K MTD channels i.i.d. at one BS distance (the MTD cluster
+    radius), the probability that the quietest MTD projects below ``delta_i``
+    on the serving direction obeys P(X_min < delta_i) = 1 - (1 - Phi(delta_i))^K,
+    Phi being the single-MTD CDF. Monte Carlo estimates (nested prefix minima, hence monotone in K) are
     returned next to the closed form at the analytic Phi(delta_i) =
     1 - exp(-delta_i / g): a projection onto a unit-norm direction is g Exp(1).
     The samples are full antenna vectors, so the empirical column is an
     independent check of that law, on which ``run_drop`` relies.
     """
+    config.validate()
     ks = _check_k_values(k_values)
     delta = config.delta_i_w if delta_i is None else float(delta_i)
     n = int(n_samples) if n_samples is not None else config.n_drops
-    distance = (
-        config.mta_cluster_radius_m if mtd_distance_m is None else float(mtd_distance_m)
-    )
     m = config.antennas
-    g = float(linear_gain(distance, config.min_distance_m))
+    g = float(linear_gain(config.mta_cluster_radius_m, config.min_distance_m))
     rng = _generator(config.seed, _NS_ASYMPTOTIC)
 
     # serving direction per sample; its own gain cancels in the projection ratio
@@ -412,7 +387,8 @@ def verify_asymptotic(
         p_emp.append(float(np.mean(running_min < delta)))
 
     phi = -math.expm1(-delta / g)
-    p_closed = [1.0 - (1.0 - phi) ** k for k in ks]
-    return AsymptoticResult(
-        k_values=ks, p_empirical=p_emp, p_closed_form=p_closed, phi=phi
+    return ExperimentSummary(
+        columns=["k", "p_empirical", "p_closed_form"],
+        rows=[(k, p, 1.0 - (1.0 - phi) ** k) for k, p in zip(ks, p_emp)],
+        manifest={"phi_at_delta_i": phi},
     )

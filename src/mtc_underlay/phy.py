@@ -1,9 +1,6 @@
-"""Link-level formulas: MRC beamforming, SINR, throughput, outage tests.
+"""Link-level formulas: link budget, MTA SINR, throughput, outage tests.
 
-Conventions: a beamformer ``w`` is applied to a channel ``h`` as the plain
-(bilinear) inner product ``w @ h`` — conjugation is baked into ``w`` itself,
-so MRC weights are ``conj(h_c)`` and ``w @ h_c == ||h_c||^2``. All functions
-broadcast over leading axes; the antenna axis is last.
+All functions broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -11,10 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class DegenerateChannelError(ValueError):
-    """Zero-norm channel where a direction is required."""
 
 
 @dataclass
@@ -39,53 +32,6 @@ class LinkBudget:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def _dot(w, h):
-    """Bilinear inner product over the antenna axis (no implicit conjugate)."""
-    return np.einsum("...m,...m->...", w, h)
-
-
-def _norm_sq(v):
-    return np.einsum("...m,...m->...", v, np.conj(v)).real
-
-
-def mrc_weights(h_c: np.ndarray) -> np.ndarray:
-    """Maximum-ratio-combining weights for serving channel ``h_c``: conj(h_c)."""
-    h_c = np.asarray(h_c)
-    if np.any(_norm_sq(h_c) == 0):
-        raise DegenerateChannelError("cannot beamform toward a zero channel")
-    return np.conj(h_c)
-
-
-def effective_interference(w, h_kb, p_k, normalized: bool = False):
-    """Post-beamformer interference power ``p_k * |w @ h_kb|^2``.
-
-    With ``normalized=True`` the result is divided by ``||w||^2``, which for
-    MRC weights equals the served channel's squared norm — the physically
-    scaled interference power at the combiner output (scale-invariant in w).
-    """
-    w = np.asarray(w)
-    h_kb = np.asarray(h_kb)
-    raw = np.asarray(p_k) * np.abs(_dot(w, h_kb)) ** 2
-    if not normalized:
-        return raw
-    wn = _norm_sq(w)
-    if np.any(wn == 0):
-        raise DegenerateChannelError("zero-norm beamformer")
-    return raw / wn
-
-
-def sinr_cellular(h_c, w, h_kb, budget: LinkBudget):
-    """CU uplink SINR after beamforming with one sharing MTD:
-
-        p_c |w @ h_c|^2 / (p_k |w @ h_kb|^2 + ||w||^2 n0)
-    """
-    h_c = np.asarray(h_c)
-    w = np.asarray(w)
-    signal = np.asarray(budget.p_c) * np.abs(_dot(w, h_c)) ** 2
-    interference = np.asarray(budget.p_k) * np.abs(_dot(w, np.asarray(h_kb))) ** 2
-    return signal / (interference + _norm_sq(w) * np.asarray(budget.n0))
-
-
 def sinr_mta(h_k, budget: LinkBudget):
     """SINR of an MTD at the single-antenna MTA: p_k |h_k|^2 / (i0 + n0)."""
     return (
@@ -108,8 +54,3 @@ def throughput(sinrs, rb_bandwidth_hz: float):
 def outage_indicator(sinr, threshold):
     """True where the link is in outage: SINR <= threshold (boundary counts)."""
     return np.asarray(sinr) <= np.asarray(threshold)
-
-
-def interference_criterion(eff_interference, delta_i):
-    """True where interference is harmless: strictly below ``delta_i``."""
-    return np.asarray(eff_interference) < np.asarray(delta_i)

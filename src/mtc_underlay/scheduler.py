@@ -48,39 +48,6 @@ def as_interference_matrix(matrix, ndim: int = 2) -> np.ndarray:
     return m
 
 
-def build_interference_matrix(beamformers, mtd_channels, powers) -> np.ndarray:
-    """Interference power of MTD k on RB n after RB n's beamformer.
-
-    Parameters
-    ----------
-    beamformers:
-        (N, M) complex — one combining vector per RB.
-    mtd_channels:
-        (N, K, M) complex — MTD-to-BS channel per RB and MTD.
-    powers:
-        (K,) — MTD transmit powers in watts.
-
-    Returns
-    -------
-    (N, K) float: entry (n, k) = powers[k] * |beamformers[n] @ mtd_channels[n, k]|^2.
-    """
-    w = np.asarray(beamformers)
-    h = np.asarray(mtd_channels)
-    p = np.asarray(powers, dtype=float)
-    if w.ndim != 2 or h.ndim != 3 or p.ndim != 1:
-        raise ValueError(
-            f"expected beamformers (N,M), channels (N,K,M), powers (K,); "
-            f"got {w.shape}, {h.shape}, {p.shape}"
-        )
-    if h.shape[0] != w.shape[0] or h.shape[2] != w.shape[1] or h.shape[1] != p.size:
-        raise ValueError(
-            f"dimension mismatch: beamformers {w.shape}, channels {h.shape}, powers {p.shape}"
-        )
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("powers must be finite and nonnegative")
-    return p[None, :] * np.abs(np.einsum("nm,nkm->nk", w, h)) ** 2
-
-
 def match_assignments(matrix):
     """Resolve per-RB minimum-interference claims into an injective assignment.
 

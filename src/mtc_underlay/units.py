@@ -10,13 +10,5 @@ def db_to_linear(value_db):
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
 
 
-def linear_to_db(value):
-    return 10.0 * np.log10(value)
-
-
 def dbm_to_watts(value_dbm):
     return 10.0 ** ((np.asarray(value_dbm, dtype=float) - 30.0) / 10.0)
-
-
-def watts_to_dbm(value_w):
-    return 10.0 * np.log10(value_w) + 30.0

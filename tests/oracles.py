@@ -13,11 +13,22 @@ whole block of drops at once, and ``tests/test_scheduler.py`` checks them
 against each other. ``optimal_assignment_oracle`` enumerates every
 assignment, the optimum the greedy rounds are measured against, and
 ``select_min_interference`` is one RB's pick, the argmin of its row.
+
+The antenna-level helpers the vector-channel engine is built from
+(``gen_channel*``, ``mrc_weights``, ``sinr_cellular``,
+``build_interference_matrix`` and friends) live here too; the runtime package
+draws only the sufficient statistics and never calls them.
+
+Conventions: a beamformer ``w`` is applied to a channel ``h`` as the plain
+(bilinear) inner product ``w @ h`` — conjugation is baked into ``w`` itself,
+so MRC weights are ``conj(h_c)`` and ``w @ h_c == ||h_c||^2``. All functions
+broadcast over leading axes; the antenna axis is last.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -28,19 +39,159 @@ from mtc_underlay import (
     DropResult,
     LinkBudget,
     SimConfig,
-    build_interference_matrix,
     cu_power_control,
-    gen_channel_block,
     linear_gain,
-    mrc_weights,
     mtd_power_control,
     outage_indicator,
     sample_cu_position,
-    sinr_cellular,
     sinr_mta,
     throughput,
 )
 from mtc_underlay.scheduler import as_interference_matrix
+
+# --- antenna-level channels, combining and interference ----------------------
+
+
+class DegenerateChannelError(ValueError):
+    """Zero-norm channel where a direction is required."""
+
+
+def _dot(w, h):
+    """Bilinear inner product over the antenna axis (no implicit conjugate)."""
+    return np.einsum("...m,...m->...", w, h)
+
+
+def _norm_sq(v):
+    return np.einsum("...m,...m->...", v, np.conj(v)).real
+
+
+def mrc_weights(h_c: np.ndarray) -> np.ndarray:
+    """Maximum-ratio-combining weights for serving channel ``h_c``: conj(h_c)."""
+    h_c = np.asarray(h_c)
+    if np.any(_norm_sq(h_c) == 0):
+        raise DegenerateChannelError("cannot beamform toward a zero channel")
+    return np.conj(h_c)
+
+
+def effective_interference(w, h_kb, p_k, normalized: bool = False):
+    """Post-beamformer interference power ``p_k * |w @ h_kb|^2``.
+
+    With ``normalized=True`` the result is divided by ``||w||^2``, which for
+    MRC weights equals the served channel's squared norm — the physically
+    scaled interference power at the combiner output (scale-invariant in w).
+    """
+    w = np.asarray(w)
+    h_kb = np.asarray(h_kb)
+    raw = np.asarray(p_k) * np.abs(_dot(w, h_kb)) ** 2
+    if not normalized:
+        return raw
+    wn = _norm_sq(w)
+    if np.any(wn == 0):
+        raise DegenerateChannelError("zero-norm beamformer")
+    return raw / wn
+
+
+def sinr_cellular(h_c, w, h_kb, budget: LinkBudget):
+    """CU uplink SINR after beamforming with one sharing MTD:
+
+        p_c |w @ h_c|^2 / (p_k |w @ h_kb|^2 + ||w||^2 n0)
+    """
+    h_c = np.asarray(h_c)
+    w = np.asarray(w)
+    signal = np.asarray(budget.p_c) * np.abs(_dot(w, h_c)) ** 2
+    interference = np.asarray(budget.p_k) * np.abs(_dot(w, np.asarray(h_kb))) ** 2
+    return signal / (interference + _norm_sq(w) * np.asarray(budget.n0))
+
+
+def interference_criterion(eff_interference, delta_i):
+    """True where interference is harmless: strictly below ``delta_i``."""
+    return np.asarray(eff_interference) < np.asarray(delta_i)
+
+
+def build_interference_matrix(beamformers, mtd_channels, powers) -> np.ndarray:
+    """Interference power of MTD k on RB n after RB n's beamformer.
+
+    Parameters
+    ----------
+    beamformers:
+        (N, M) complex — one combining vector per RB.
+    mtd_channels:
+        (N, K, M) complex — MTD-to-BS channel per RB and MTD.
+    powers:
+        (K,) — MTD transmit powers in watts.
+
+    Returns
+    -------
+    (N, K) float: entry (n, k) = powers[k] * |beamformers[n] @ mtd_channels[n, k]|^2.
+    """
+    w = np.asarray(beamformers)
+    h = np.asarray(mtd_channels)
+    p = np.asarray(powers, dtype=float)
+    if w.ndim != 2 or h.ndim != 3 or p.ndim != 1:
+        raise ValueError(
+            f"expected beamformers (N,M), channels (N,K,M), powers (K,); "
+            f"got {w.shape}, {h.shape}, {p.shape}"
+        )
+    if h.shape[0] != w.shape[0] or h.shape[2] != w.shape[1] or h.shape[1] != p.size:
+        raise ValueError(
+            f"dimension mismatch: beamformers {w.shape}, channels {h.shape}, powers {p.shape}"
+        )
+    if np.any(p < 0) or not np.all(np.isfinite(p)):
+        raise ValueError("powers must be finite and nonnegative")
+    return p[None, :] * np.abs(np.einsum("nm,nkm->nk", w, h)) ** 2
+
+
+def gen_channel(
+    distance_m: float,
+    antennas: int,
+    rng: np.random.Generator,
+    min_distance_m: float = 10.0,
+) -> np.ndarray:
+    """One Rayleigh channel vector toward the ``antennas``-element BS array.
+
+    Entries are i.i.d. circularly-symmetric complex Gaussians with per-entry
+    power equal to the distance-dependent gain g, so E[||h||^2] = antennas * g.
+
+    Returns
+    -------
+    np.ndarray, shape (antennas,), complex
+    """
+    g = linear_gain(distance_m, min_distance_m)
+    while True:
+        h = math.sqrt(g) * _cn01(antennas, rng)
+        if np.any(h != 0):  # degenerate all-zero draw has probability zero
+            return h
+
+
+def gen_channel_block(
+    distances_m,
+    n_rb: int,
+    antennas: int,
+    rng: np.random.Generator,
+    min_distance_m: float = 10.0,
+) -> np.ndarray:
+    """Batched equivalent of :func:`gen_channel`.
+
+    Draws one independent channel per (resource block, transmitter, antenna);
+    frequency-flat within an RB, independent across RBs.
+
+    Returns
+    -------
+    np.ndarray, shape (n_rb, len(distances_m), antennas), complex
+    """
+    g = np.atleast_1d(linear_gain(distances_m, min_distance_m))
+    h = _cn01((n_rb, g.size, antennas), rng)
+    return np.sqrt(g)[None, :, None] * h
+
+
+def _cn01(shape, rng: np.random.Generator) -> np.ndarray:
+    """Standard circularly-symmetric complex Gaussian, unit power per entry."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
+# --- matching ------------------------------------------------------------------
 
 #: enumeration guard for the brute-force optimal assignment
 _ORACLE_MAX = 8

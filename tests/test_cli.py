@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import mtc_underlay.cli as cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def _run(args):
@@ -67,6 +70,16 @@ def test_asymptotic_artifact_and_extras(tmp_path):
     assert len(lines) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert 0.0 < manifest["phi_at_delta_i"] < 1.0
+
+
+def test_asymptotic_golden_csv_and_phi(tmp_path):
+    # written by the CLI when it formatted the asymptotic CSV by hand
+    out = tmp_path / "asym"
+    rc = _run(["asymptotic", "--out", str(out), "--drops", "2000", "--k-values", "1,10,100"])
+    assert rc == 0
+    assert _read(out, "asymptotic.csv") == (DATA / "golden_asymptotic.csv").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["phi_at_delta_i"] == 0.003977175583252615
 
 
 def test_config_file_round_trip(tmp_path):
@@ -154,6 +167,53 @@ def test_bad_flag_values_are_usage_errors(args, tmp_path, capsys):
         _run(args + ["--drops", "5", "--out", str(out)])
     assert exc.value.code == 1
     assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["single-rb", "--mtd-power-dbm", "nan"],
+        ["single-rb", "--mtd-power-dbm", "0,inf"],
+        ["outage", "--mtd-power-dbm", "nan"],
+        ["throughput", "--mtd-power-dbm", "inf"],
+    ],
+)
+def test_non_finite_mtd_power_flag_is_usage_error(args, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        _run(args + ["--drops", "5", "--k-values", "1", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_minus_inf_mtd_power_flag_switches_mtds_off(tmp_path):
+    out = tmp_path / "o"
+    args = ["single-rb", "--mtd-power-dbm=-inf", "--drops", "5", "--k-values", "1"]
+    assert _run(args + ["--out", str(out)]) == 0
+    assert (out / "single-rb.csv").read_text().splitlines()[1].startswith("1,-inf,")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "delta_th_db = nan",
+        "cu_target_sinr_db = nan",
+        "rb_bandwidth_hz = nan",
+        "cell_radius_m = inf",
+        "mtd_fixed_power_dbm = inf",
+        "i0_dbm = -inf",
+    ],
+)
+def test_non_finite_config_file_value_is_config_error(line, tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    rc = _run(["outage", "--config", str(cfg), "--drops", "5", "--k-values", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

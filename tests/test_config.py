@@ -1,5 +1,6 @@
 """Config defaults, derived quantities, and the key = value file format."""
 
+import dataclasses
 import math
 
 import pytest
@@ -123,6 +124,22 @@ def test_duplicate_key_rejected():
 )
 def test_out_of_range_values_rejected(text):
     with pytest.raises(ConfigError):
+        parse_config_text(text)
+
+
+_FLOAT_FIELDS = [
+    f.name for f in dataclasses.fields(SimConfig) if f.type in ("float", "float | None")
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_FIELDS)
+def test_non_finite_values_rejected(key, value):
+    text = f"{key} = {value}\n"
+    if (key, value) == ("mtd_fixed_power_dbm", "-inf"):
+        assert parse_config_text(text).mtd_fixed_power_w == 0.0  # MTDs off
+        return
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
         parse_config_text(text)
 
 

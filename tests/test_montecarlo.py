@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from mtc_underlay import (
+    ConfigError,
     DropResult,
     SimConfig,
-    estimate_outage,
     experiment_outage,
     experiment_single_rb,
     experiment_throughput,
@@ -179,13 +179,37 @@ def test_throughput_schema_and_target_column():
         assert 0 < row[3] <= row[2]
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: experiment_single_rb(SimConfig(n_drops=5), [1], power_values=[math.nan]),
+        lambda: experiment_single_rb(SimConfig(n_drops=5), [1], power_values=[0.0, math.inf]),
+        lambda: experiment_outage(SimConfig(n_drops=5, delta_th_db=math.nan), [1]),
+        lambda: experiment_throughput(SimConfig(n_drops=5, rb_bandwidth_hz=math.nan), [1]),
+        lambda: verify_asymptotic(SimConfig(n_drops=5, delta_i_dbm=math.nan), [1]),
+    ],
+    ids=["power-nan", "power-inf", "outage-threshold", "throughput-bandwidth", "asymptotic"],
+)
+def test_non_finite_inputs_raise_config_error(run):
+    with pytest.raises(ConfigError, match="must be finite"):
+        run()
+
+
 # --- outage -------------------------------------------------------------------
 
 
 def test_outage_trivial_thresholds():
     cfg = SimConfig(n_drops=100, k=1)
-    assert estimate_outage(replace(cfg, delta_th_db=-400.0), k=1) == 0.0
-    assert estimate_outage(replace(cfg, delta_th_db=400.0), k=1) == 1.0
+    assert experiment_outage(replace(cfg, delta_th_db=-400.0), [1]).rows[0][2] == 0.0
+    assert experiment_outage(replace(cfg, delta_th_db=400.0), [1]).rows[0][2] == 1.0
+
+
+@pytest.mark.parametrize("mode", ["fixed", "controlled"])
+def test_outage_is_single_rb_outage_column(mode):
+    cfg = SimConfig(n_drops=200, mtd_power_mode=mode)
+    single = experiment_single_rb(cfg, [1, 10, 50]).rows
+    outage = experiment_outage(cfg, [1, 10, 50]).rows
+    assert outage == [(r[0], cfg.delta_th_db, r[4]) for r in single]
 
 
 def test_outage_matches_quadrature_oracle_without_interference():
@@ -211,7 +235,7 @@ def test_outage_matches_quadrature_oracle_without_interference():
 
     oracle, quad_err = integrate.quad(integrand, r0, big_r, limit=200)
     assert quad_err < 1e-8
-    estimate = estimate_outage(cfg, k=1)
+    estimate = experiment_outage(cfg, [1]).rows[0][2]
     sigma = math.sqrt(oracle * (1.0 - oracle) / cfg.n_drops)
     assert abs(estimate - oracle) < 4.0 * sigma + 1e-6
 
@@ -222,20 +246,21 @@ def test_outage_matches_quadrature_oracle_without_interference():
 def test_asymptotic_closed_form_uses_product_rule():
     cfg = SimConfig(n_drops=2000)
     res = verify_asymptotic(cfg, [1, 2, 5])
-    for k, closed in zip(res.k_values, res.p_closed_form):
-        assert closed == pytest.approx(1.0 - (1.0 - res.phi) ** k, rel=1e-12)
+    phi = res.manifest["phi_at_delta_i"]
+    for k, _, closed in res.rows:
+        assert closed == pytest.approx(1.0 - (1.0 - phi) ** k, rel=1e-12)
     # phi is the analytic Exp(1) CDF at delta_I / g, not an estimate
     g = linear_gain(cfg.mta_cluster_radius_m)
-    assert res.phi == pytest.approx(-math.expm1(-cfg.delta_i_w / g), rel=1e-12)
+    assert phi == pytest.approx(-math.expm1(-cfg.delta_i_w / g), rel=1e-12)
     # half-half single-draw CDF would give the textbook 0.875 at K=3
     assert 1.0 - (1.0 - 0.5) ** 3 == 0.875
 
 
 def test_asymptotic_estimates_monotone_and_bounded():
     cfg = SimConfig(n_drops=3000)
-    res = verify_asymptotic(cfg, [1, 5, 20, 100])
-    assert all(0.0 <= p <= 1.0 for p in res.p_empirical)
-    assert all(b >= a for a, b in zip(res.p_empirical, res.p_empirical[1:]))
+    p_emp = [p for _, p, _ in verify_asymptotic(cfg, [1, 5, 20, 100]).rows]
+    assert all(0.0 <= p <= 1.0 for p in p_emp)
+    assert all(b >= a for a, b in zip(p_emp, p_emp[1:]))
 
 
 def test_asymptotic_deterministic_and_validates_k():
@@ -251,7 +276,7 @@ def test_asymptotic_threshold_override_moves_phi():
     cfg = SimConfig(n_drops=2000)
     low = verify_asymptotic(cfg, [1], delta_i=1e-14)
     high = verify_asymptotic(cfg, [1], delta_i=1e-12)
-    assert low.phi < high.phi
+    assert low.manifest["phi_at_delta_i"] < high.manifest["phi_at_delta_i"]
 
 
 # --- golden regression -----------------------------------------------------------
@@ -282,6 +307,15 @@ def test_golden_throughput_csv():
 def test_golden_outage_controlled_csv():
     s = experiment_outage(*_OUTAGE_GOLDEN)
     assert s.to_csv_text() == (DATA / "golden_outage_controlled.csv").read_text()
+
+
+# Written by an engine that sampled a separate deployment for each K of an
+# outage sweep. A K-MTD deployment is the prefix of the largest-K one, so the
+# shared sweep deployment must reproduce it; fixed power, which the controlled
+# golden above does not cover.
+def test_golden_outage_fixed_csv():
+    s = experiment_outage(SimConfig(n_drops=300, mtd_fixed_power_dbm=-5.0), [1, 7, 64, 300])
+    assert s.to_csv_text() == (DATA / "golden_outage_fixed.csv").read_text()
 
 
 @pytest.mark.parametrize(

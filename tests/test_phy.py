@@ -5,16 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from mtc_underlay import (
+from mtc_underlay import LinkBudget, outage_indicator, sinr_mta, throughput
+from oracles import (
     DegenerateChannelError,
-    LinkBudget,
     effective_interference,
     interference_criterion,
     mrc_weights,
-    outage_indicator,
     sinr_cellular,
-    sinr_mta,
-    throughput,
 )
 
 

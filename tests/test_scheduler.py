@@ -12,15 +12,19 @@ from hypothesis.extra.numpy import arrays
 from mtc_underlay import (
     Assignment,
     LinkBudget,
-    build_interference_matrix,
     cu_power_control,
     match_assignments,
-    mrc_weights,
     mtd_power_control,
-    sinr_cellular,
     sinr_mta,
 )
-from oracles import match_assignments_loop, optimal_assignment_oracle, select_min_interference
+from oracles import (
+    build_interference_matrix,
+    match_assignments_loop,
+    mrc_weights,
+    optimal_assignment_oracle,
+    select_min_interference,
+    sinr_cellular,
+)
 
 
 # --- single-row selection ----------------------------------------------------
