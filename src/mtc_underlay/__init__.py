@@ -16,6 +16,7 @@ from .montecarlo import (
     ExperimentSummary,
     experiment_outage,
     experiment_single_rb,
+    draw_chunk,
     experiment_throughput,
     run_drop,
     verify_asymptotic,
@@ -45,6 +46,7 @@ __all__ = [
     "Position",
     "SimConfig",
     "cu_power_control",
+    "draw_chunk",
     "experiment_outage",
     "experiment_single_rb",
     "experiment_throughput",

@@ -134,18 +134,28 @@ def sample_deployment(config: SimConfig, rng: np.random.Generator) -> Deployment
 
 
 def sample_cu_position(
-    config: SimConfig, mta: Position, rng: np.random.Generator
-) -> Position:
-    """Uniform CU position: in-cell, >= min distance from the BS, and outside
-    the ``cu_mta_exclusion_m`` disk around the MTA."""
-    return _rejection_sample(
-        lambda: _sample_disk(BS_POSITION, config.cell_radius_m, rng),
-        lambda p: (
-            p.r >= config.min_distance_m
-            and p.distance_to(mta) >= config.cu_mta_exclusion_m
-        ),
-        "CU placement",
-    )
+    config: SimConfig, mta: Position, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """Distances to the BS of ``n`` uniform CU positions: in-cell, >= min
+    distance from the BS, and outside the ``cu_mta_exclusion_m`` disk around
+    the MTA. Rejection sampling on candidates drawn as rows (radius, angle)
+    of ``rng.random``, the first ``n`` accepted kept in order; raises
+    ConfigError once ``_MAX_REJECTION_TRIES`` candidates in a row miss."""
+    out, misses = np.empty(0), 0
+    while out.size < n:
+        if misses >= _MAX_REJECTION_TRIES:
+            raise ConfigError(
+                f"CU placement: {misses} candidate positions in a row rejected; "
+                f"the configured geometry leaves (almost) no admissible region"
+            )
+        u = rng.random((max(n - out.size, misses), 2))  # batches double while all miss
+        r = config.cell_radius_m * np.sqrt(u[:, 0])
+        theta = 2.0 * math.pi * u[:, 1]
+        to_mta = np.hypot(r * np.cos(theta) - mta.x, r * np.sin(theta) - mta.y)
+        hits = np.flatnonzero((r >= config.min_distance_m) & (to_mta >= config.cu_mta_exclusion_m))
+        misses = misses + len(u) if hits.size == 0 else len(u) - 1 - hits[-1]
+        out = np.concatenate([out, r[hits]])
+    return out[:n]
 
 
 def _rejection_sample(draw, accept, what: str) -> Position:

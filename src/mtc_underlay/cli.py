@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -31,7 +32,13 @@ _DEFAULT_K_VALUES = {
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse with the usage-error exit status pinned to 1."""
+    """argparse with the usage-error exit status pinned to 1, taking an
+    argument that starts with a negative number (``-10,0``, ``-inf``) for a
+    value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

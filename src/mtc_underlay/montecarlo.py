@@ -1,10 +1,13 @@
 """Monte Carlo experiments: drops, sweeps, outage and order-statistics checks.
 
 One *drop* is a single channel/CU-position realization on a fixed deployment.
-Every drop owns an RNG substream keyed by (seed, drop index) only, so results
-are bit-reproducible for any worker count and any power mode shares the same
-randomness — sweeps differ only where the physics differs. Drops run in
-blocks, each drop on its own substream, so block size changes no result either.
+Drops come in chunks of CHUNK_DROPS consecutive drops, and each chunk owns one
+RNG substream per purpose, keyed by (seed, namespace, chunk index) only, so
+results are bit-reproducible for any worker count and any power mode shares
+the same randomness — sweeps differ only where the physics differs. A chunk
+draws its CU positions and gains at its start and runs its drops in blocks,
+each block drawing the next variates from the chunk's streams, so block size
+changes no result either.
 """
 
 from __future__ import annotations
@@ -35,25 +38,60 @@ from .scheduler import (
 )
 
 #: version of the random-number contract: which variates each substream
-#: draws, in which order. Contract 1 drew antenna-level channels per drop;
-#: contract 2 draws their sufficient statistics (see run_drop). Every run
-#: manifest records it.
-RNG_CONTRACT = 2
+#: draws, in which order. Contract 1 drew antenna-level channels per drop,
+#: contract 2 their sufficient statistics on one substream per drop, and
+#: contract 3 the same statistics on one substream per chunk of drops and
+#: purpose (see ChunkDraws). Every run manifest records it.
+RNG_CONTRACT = 3
 
-# substream namespaces under the root seed
+# substream namespaces under the root seed; a chunk's streams are keyed
+# (seed, namespace, chunk index)
 _NS_DEPLOYMENT = 0
-_NS_DROP = 1
+_NS_CU = 1
 _NS_BASELINE = 2
 _NS_ASYMPTOTIC = 3
+_NS_PROJECTION = 4
+_NS_MTA = 5
 
-#: drops per task when running on a process pool
-_POOL_CHUNK = 256
+#: drops per chunk, part of the RNG contract: drop i belongs to chunk
+#: i // CHUNK_DROPS, whose substreams it draws from; a chunk is one pool task
+CHUNK_DROPS = 256
 #: most (RB, MTD) entries in one block of drops; a block holds at least one drop
 BLOCK_ENTRIES = 4096
 
 
 def _generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
+@dataclass
+class ChunkDraws:
+    """The variates of one chunk of D drops under RNG contract 3: the CU gains
+    g_c Gamma(M, 1), ``cu_gain`` (D, N), drawn at chunk start, and the streams
+    from which the chunk's blocks, in drop order, draw their MTD-to-BS
+    projections g_k Exp(1) (d, N, K), MTD-to-MTA gains g_mta Exp(1) (d, K)
+    and, when the random baseline is scored, one MTD permutation per drop."""
+
+    cu_gain: np.ndarray
+    projection: np.random.Generator
+    mta: np.random.Generator
+    baseline: np.random.Generator | None = None
+
+
+def draw_chunk(
+    config: SimConfig, deployment: Deployment, chunk: int, with_baseline=False
+) -> ChunkDraws:
+    """Chunk ``chunk`` of ``config.n_drops`` drops: its streams, keyed
+    (seed, namespace, chunk), and its CU gains, drawn from the CU stream after
+    all of its CU distances."""
+    n = min(CHUNK_DROPS, config.n_drops - chunk * CHUNK_DROPS)
+    cu, projection, mta, baseline = (
+        _generator(config.seed, ns, chunk) for ns in (_NS_CU, _NS_PROJECTION, _NS_MTA, _NS_BASELINE)
+    )
+    r = sample_cu_position(config, deployment.mta, cu, n)
+    cu_gain = cu.standard_gamma(config.antennas, (n, config.n_rb))
+    cu_gain *= linear_gain(r, config.min_distance_m)[:, None]
+    return ChunkDraws(cu_gain, projection, mta, baseline if with_baseline else None)
 
 
 @dataclass
@@ -95,34 +133,31 @@ def _format_cell(value) -> str:
 def run_drop(
     config: SimConfig,
     deployment: Deployment,
-    rngs,
-    baseline_rngs=None,
+    draws: ChunkDraws,
+    block: slice = slice(None),
 ) -> DropResult:
-    """Simulate a block of drops, one per generator in ``rngs``: move the CU,
-    fade every link, assign MTDs, score.
+    """Simulate a block of drops, the ``block`` of the chunk's drops (all by
+    default): fade every link, assign MTDs, score.
 
     Draws the sufficient statistics of the Rayleigh channels rather than the
     channels: with a unit-norm MRC combiner u_n = h_c,n / ||h_c,n||, RB n's CU
     gain ||h_c,n||^2 is g_c Gamma(M, 1) and MTD k's post-combiner gain
     |u_n^H h_k,n|^2 is g_k Exp(1), independent of each other and across RBs
-    and MTDs. Each drop draws from its own generator, in an order fixed by the
-    RNG contract: CU position, CU gains (N), MTD-to-BS projections (N, K),
-    MTD-to-MTA gains (K). Everything after the draws runs once for the block.
-    When ``baseline_rngs`` is given (one per drop), a uniformly random
-    injective assignment is scored alongside on the same interference matrix.
+    and MTDs. The block takes its CU gains from ``draws`` and the next
+    projections and MTA gains from the chunk's streams, so a chunk's blocks
+    must run in drop order. Everything after the draws runs once for the
+    block. With a baseline stream, a uniformly random injective assignment is
+    scored alongside on the same interference matrix.
     """
-    n_drops, n_rb, k = len(rngs), config.n_rb, deployment.n_mtds
+    cu_gain = draws.cu_gain[block]
+    n_drops, n_rb = cu_gain.shape
+    k = deployment.n_mtds
     n0, i0 = config.noise_power_w, config.i0_w
-    d_min = config.min_distance_m
-    g_bs, g_mta = deployment.mtd_gains(d_min)
-    cu_gain = np.empty((n_drops, n_rb))
-    proj = np.empty((n_drops, n_rb, k))
-    mta_gain = np.empty((n_drops, k))
-    for j, rng in enumerate(rngs):
-        cu = sample_cu_position(config, deployment.mta, rng)
-        cu_gain[j] = linear_gain(cu.r, d_min) * rng.standard_gamma(config.antennas, n_rb)
-        proj[j] = g_bs * rng.standard_exponential((n_rb, k))
-        mta_gain[j] = g_mta * rng.standard_exponential(k)
+    g_bs, g_mta = deployment.mtd_gains(config.min_distance_m)
+    proj = draws.projection.standard_exponential((n_drops, n_rb, k))
+    proj *= g_bs
+    mta_gain = draws.mta.standard_exponential((n_drops, k))
+    mta_gain *= g_mta
     # power control and the MTA SINR need only |h|^2: real amplitudes with the
     # drawn gains stand in for the channels (h_c as N one-antenna channels)
     h_mta = np.sqrt(mta_gain)
@@ -137,7 +172,8 @@ def run_drop(
             config.p_max_w,
         )
 
-    matrix = p_mtd[:, None, :] * proj  # post-combiner interference in watts, (D, N, K)
+    matrix = proj  # post-combiner interference in watts, (D, N, K)
+    matrix *= p_mtd[:, None, :]
     idx = match_assignments(matrix)
     p_c = cu_power_control(np.sqrt(cu_gain)[..., None], n0, config.cu_target_sinr, config.p_max_w)
     signal = p_c * cu_gain
@@ -157,11 +193,11 @@ def run_drop(
         mta_sinr_db[served] = 10.0 * np.log10(sinr_mta(h_mta[drops, mtd][served], mta_budget))
 
     baseline_bps = None
-    if baseline_rngs is not None:
+    if draws.baseline is not None:
         b_idx = np.full((n_drops, n_rb), -1)
         take = min(n_rb, k)
-        for j, b_rng in enumerate(baseline_rngs):
-            b_idx[j, :take] = b_rng.permutation(k)[:take]
+        perms = draws.baseline.permuted(np.tile(np.arange(k), (n_drops, 1)), axis=1)
+        b_idx[:, :take] = perms[:, :take]
         baseline_bps = throughput(signal / (interference(b_idx) + n0), config.rb_bandwidth_hz)
 
     return DropResult(
@@ -181,15 +217,11 @@ def run_drop(
 
 
 def _run_chunk(args) -> DropResult:
-    """Drops [start, stop) in blocks of ``block`` drops, each on its own substreams."""
-    config, deployment, start, stop, with_baseline, block = args
-    parts = []
-    for lo in range(start, stop, block):
-        ids = range(lo, min(lo + block, stop))
-        rngs = [_generator(config.seed, _NS_DROP, i) for i in ids]
-        b_rngs = [_generator(config.seed, _NS_BASELINE, i) for i in ids] if with_baseline else None
-        parts.append(run_drop(config, deployment, rngs, b_rngs))
-    return _concat(parts)
+    """One chunk's drops, in blocks of ``block`` drops."""
+    config, deployment, chunk, with_baseline, block = args
+    draws = draw_chunk(config, deployment, chunk, with_baseline)
+    blocks = (slice(lo, lo + block) for lo in range(0, len(draws.cu_gain), block))
+    return _concat([run_drop(config, deployment, draws, b) for b in blocks])
 
 
 def _concat(parts: list[DropResult]) -> DropResult:
@@ -208,13 +240,12 @@ def _pool(workers: int):
 
 
 def _run_drops(config: SimConfig, deployment: Deployment, pool, with_baseline=False) -> DropResult:
-    """All ``config.n_drops`` drops of one sweep point, in drop order."""
-    n = config.n_drops
+    """All ``config.n_drops`` drops of one sweep point, chunk by chunk in drop
+    order, serially or one chunk per pool task."""
     # sized here and sent with each task, so every worker uses the same blocks
     block = max(1, BLOCK_ENTRIES // (config.n_rb * deployment.n_mtds))
-    step = n if pool is None else _POOL_CHUNK
-    tasks = [(config, deployment, lo, min(lo + step, n), with_baseline, block)
-             for lo in range(0, n, step)]
+    chunks = range(-(-config.n_drops // CHUNK_DROPS))
+    tasks = [(config, deployment, c, with_baseline, block) for c in chunks]
     return _concat(list((map if pool is None else pool.map)(_run_chunk, tasks)))
 
 
@@ -239,6 +270,14 @@ def _ci_halfwidth(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
     return float(1.96 * np.std(values, ddof=1) / math.sqrt(values.size))
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D float array without NaNs, bit for bit; np.median
+    imports ``numpy.ma`` (about 1 MB) for its NaN check."""
+    n = values.size
+    part = np.partition(values, [(n - 1) // 2, n // 2])
+    return float((part[(n - 1) // 2] + part[n // 2]) / 2)
 
 
 def _check_k_values(k_values) -> list[int]:
@@ -285,7 +324,7 @@ def experiment_single_rb(
             cfg.k,
             cfg.mtd_fixed_power_dbm if cfg.mtd_power_mode == "fixed" else float("nan"),
             float(np.mean(sinr_db)),
-            float(np.median(sinr_db)),
+            _median(sinr_db),
             float(np.mean(drops.outage[:, 0])),
             _ci_halfwidth(sinr_db),
         )
@@ -329,8 +368,8 @@ def experiment_throughput(
 def experiment_outage(config: SimConfig, k_values, workers: int = 1) -> ExperimentSummary:
     """CU outage probability on one shared RB vs K: the drops of
     :func:`experiment_single_rb` at the configured MTD power, reduced to
-    their outage rate alone (``np.median`` would import ``numpy.ma``, about
-    2 MB, into every outage run)."""
+    their outage rate alone (its rows, median and CI included, raise the peak
+    memory of a pooled outage sweep by about 0.3 MB)."""
 
     def row(cfg: SimConfig, drops: DropResult) -> tuple:
         return (cfg.k, cfg.delta_th_db, float(np.mean(drops.outage[:, 0])))

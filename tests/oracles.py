@@ -34,6 +34,7 @@ from dataclasses import fields
 import numpy as np
 
 from mtc_underlay import (
+    BS_POSITION,
     Assignment,
     Deployment,
     DropResult,
@@ -43,10 +44,10 @@ from mtc_underlay import (
     linear_gain,
     mtd_power_control,
     outage_indicator,
-    sample_cu_position,
     sinr_mta,
     throughput,
 )
+from mtc_underlay.channel import Position, _rejection_sample, _sample_disk
 from mtc_underlay.scheduler import as_interference_matrix
 
 # --- antenna-level channels, combining and interference ----------------------
@@ -191,6 +192,18 @@ def _cn01(shape, rng: np.random.Generator) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
+def sample_cu_position_scalar(config: SimConfig, mta: Position, rng: np.random.Generator) -> Position:
+    """One CU position, one candidate at a time (the sampler of RNG contract
+    2). It draws its candidates as (radius, angle) uniforms in the order in
+    which ``mtc_underlay.sample_cu_position`` reads its rows, so on one stream
+    both accept the same candidates."""
+    return _rejection_sample(
+        lambda: _sample_disk(BS_POSITION, config.cell_radius_m, rng),
+        lambda p: p.r >= config.min_distance_m and p.distance_to(mta) >= config.cu_mta_exclusion_m,
+        "CU placement",
+    )
+
+
 # --- matching ------------------------------------------------------------------
 
 #: enumeration guard for the brute-force optimal assignment
@@ -266,8 +279,10 @@ def optimal_assignment_oracle(matrix) -> Assignment:
 
 
 def run_drop_vector(config: SimConfig, deployment: Deployment, rngs, baseline_rngs=None) -> DropResult:
-    """The vector-channel engine with ``run_drop``'s block signature: one drop
-    per generator, results stacked drop axis first."""
+    """The vector-channel engine on a block of drops, one generator per drop
+    (the per-drop streams of RNG contract 2), results stacked drop axis first.
+    It shares no sampling code with ``run_drop``: it places its CUs with
+    :func:`sample_cu_position_scalar`."""
     b_rngs = [None] * len(rngs) if baseline_rngs is None else baseline_rngs
     drops = [_vector_drop(config, deployment, r, b) for r, b in zip(rngs, b_rngs)]
     return DropResult(
@@ -294,7 +309,7 @@ def _vector_drop(
     n_rb, m, k = config.n_rb, config.antennas, deployment.n_mtds
     n0, i0 = config.noise_power_w, config.i0_w
 
-    cu = sample_cu_position(config, deployment.mta, rng)
+    cu = sample_cu_position_scalar(config, deployment.mta, rng)
     h_c = gen_channel_block(cu.r, n_rb, m, rng, config.min_distance_m)[:, 0, :]
     h_kb = gen_channel_block(
         deployment.mtd_bs_distances(), n_rb, m, rng, config.min_distance_m
@@ -374,7 +389,7 @@ def vector_channel_statistics(
     Draws in the oracle's order, so a drop seed gives the oracle's channels.
     """
     n_rb, m = config.n_rb, config.antennas
-    cu = sample_cu_position(config, deployment.mta, rng)
+    cu = sample_cu_position_scalar(config, deployment.mta, rng)
     h_c = gen_channel_block(cu.r, n_rb, m, rng, config.min_distance_m)[:, 0, :]
     h_kb = gen_channel_block(
         deployment.mtd_bs_distances(), n_rb, m, rng, config.min_distance_m

@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from mtc_underlay import (
     ConfigError,
@@ -15,7 +18,7 @@ from mtc_underlay import (
     sample_deployment,
 )
 from mtc_underlay.channel import Position
-from oracles import gen_channel, gen_channel_block
+from oracles import gen_channel, gen_channel_block, sample_cu_position_scalar
 
 
 # --- path loss -------------------------------------------------------------
@@ -173,14 +176,33 @@ def test_deployment_mtd_gains_cached_per_floor():
 # --- CU placement ------------------------------------------------------------
 
 
-def test_cu_position_constraints():
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    exclusion_m=st.sampled_from([0.0, 100.0, 250.0, 400.0]),
+)
+def test_cu_position_constraints(seed, n, exclusion_m):
+    # the vector sampler accepts the candidates the scalar sampler accepts on
+    # the same stream, so the scalar positions show where its CUs are
+    cfg = SimConfig(cu_mta_exclusion_m=exclusion_m)
+    mta = sample_deployment(replace(cfg, k=1), np.random.default_rng(seed)).mta
+    r = sample_cu_position(cfg, mta, np.random.default_rng(seed + 1), n)
+    scalar_rng = np.random.default_rng(seed + 1)
+    positions = [sample_cu_position_scalar(cfg, mta, scalar_rng) for _ in range(n)]
+    assert r.shape == (n,)
+    assert np.all((cfg.min_distance_m <= r) & (r <= cfg.cell_radius_m))
+    np.testing.assert_allclose(r, [p.r for p in positions], rtol=1e-12)
+    assert all(p.distance_to(mta) >= cfg.cu_mta_exclusion_m for p in positions)
+
+
+def test_cu_distances_match_scalar_sampler_in_distribution():
     cfg = SimConfig()
-    rng = np.random.default_rng(17)
-    mta = sample_deployment(cfg, rng).mta
-    for _ in range(10_000):
-        cu = sample_cu_position(cfg, mta, rng)
-        assert cfg.min_distance_m <= cu.r <= cfg.cell_radius_m
-        assert cu.distance_to(mta) >= cfg.cu_mta_exclusion_m
+    mta = sample_deployment(cfg, np.random.default_rng(17)).mta
+    vector = sample_cu_position(cfg, mta, np.random.default_rng(1), 10_000)
+    rng = np.random.default_rng(2)
+    scalar = [sample_cu_position_scalar(cfg, mta, rng).r for _ in range(10_000)]
+    assert stats.ks_2samp(vector, scalar).pvalue > 1e-3
 
 
 def test_cu_exclusion_infeasible_raises():
@@ -191,4 +213,4 @@ def test_cu_exclusion_infeasible_raises():
     dep = sample_deployment(cfg, rng)
     assert dep.mta.r + cfg.cell_radius_m < cfg.cu_mta_exclusion_m
     with pytest.raises(ConfigError):
-        sample_cu_position(cfg, dep.mta, rng)
+        sample_cu_position(cfg, dep.mta, rng, 1)

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: artifacts, reproducibility, exit codes."""
 
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +198,31 @@ def test_minus_inf_mtd_power_flag_switches_mtds_off(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "value, powers",
+    [("-10,0", [-10.0, 0.0]), ("-inf", [-math.inf]), ("-0.5", [-0.5]), ("-INF,3", [-math.inf, 3.0])],
+)
+def test_negative_mtd_power_list_as_separate_argument(value, powers, tmp_path):
+    # a list starting with a negative number is the flag's value, not an option
+    out = tmp_path / "o"
+    args = ["single-rb", "--mtd-power-dbm", value, "--drops", "5", "--k-values", "1"]
+    assert _run(args + ["--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["power_values_dbm"] == powers
+
+
+def test_single_rb_run_leaves_numpy_ma_unimported(tmp_path):
+    # np.median imports numpy.ma (about 1 MB) for its NaN check
+    code = (
+        "import sys; from mtc_underlay.cli import main; "
+        f"rc = main(['single-rb', '--drops', '50', '--k-values', '1,4', '--out', {str(tmp_path)!r}]); "
+        "print(rc, 'numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+@pytest.mark.parametrize(
     "line",
     [
         "delta_th_db = nan",
@@ -230,7 +257,7 @@ def test_controlled_mode_from_config_file_rejects_mtd_power(tmp_path, capsys):
 def test_manifest_records_rng_contract(tmp_path):
     out = tmp_path / "run"
     assert _run(["outage", "--out", str(out), "--drops", "5", "--k-values", "1"]) == 0
-    assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 2
+    assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 3
 
 
 class _Killed(BaseException):

@@ -4,7 +4,10 @@
 channels; ``oracles.run_drop_vector`` draws the antenna-level channels and
 combines them. On a fixed deployment, with the engines on disjoint seeds, their
 outputs must agree in distribution, and the oracle's own statistics must follow
-the laws the kernel samples from.
+the laws the kernel samples from. The kernel runs as the experiments run it,
+on the chunk streams of RNG contract 3; the oracle keeps one stream per drop
+and its own one-candidate-at-a-time CU sampler, so it shares no sampling code
+with the kernel.
 
 Run as a script for the paper-scale comparison (10^4 drops per engine at the
 CLI's default K sweeps of ``single-rb`` and ``throughput``; a few minutes):
@@ -21,34 +24,41 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mtc_underlay import SimConfig, run_drop, sample_deployment
-from mtc_underlay.montecarlo import _NS_BASELINE, _NS_DEPLOYMENT, _NS_DROP, _concat, _generator
+from mtc_underlay import SimConfig, sample_deployment
+from mtc_underlay.montecarlo import _NS_DEPLOYMENT, _concat, _generator, _run_drops
 from oracles import run_drop_vector, vector_channel_statistics
 
 #: root seeds of the deployment and of each engine's drops (disjoint streams)
 _DEPLOYMENT_SEED, _KERNEL_SEED, _ORACLE_SEED = 1, 2, 3
 _DROPS = 2000
 _PAPER_DROPS = 10_000
-#: drops per engine call
+#: drops per oracle call
 _BLOCK = 100
 _KS_P_MIN = 1e-3
 _Z_MAX = 1.96
+#: namespaces of the oracle's per-drop streams, keyed (seed, namespace, drop)
+_NS_ORACLE_DROP, _NS_ORACLE_BASELINE = 1, 2
 
 
 def _deployment(cfg: SimConfig, k: int):
     return sample_deployment(replace(cfg, k=k), _generator(_DEPLOYMENT_SEED, _NS_DEPLOYMENT))
 
 
-def _run(engine, cfg, deployment, seed, n_drops, with_baseline):
-    """Every drop's outputs, drop axis first, run ``_BLOCK`` drops per call."""
+def _run_kernel(cfg, deployment, seed, n_drops, with_baseline):
+    """Every drop's outputs, drop axis first, as the experiments run them."""
+    return _run_drops(replace(cfg, seed=seed, n_drops=n_drops), deployment, None, with_baseline)
+
+
+def _run_oracle(cfg, deployment, seed, n_drops, with_baseline):
+    """Every drop's outputs, drop axis first, ``_BLOCK`` drops per call."""
     parts = []
     for lo in range(0, n_drops, _BLOCK):
         ids = range(lo, min(lo + _BLOCK, n_drops))
-        parts.append(engine(
+        parts.append(run_drop_vector(
             cfg,
             deployment,
-            [_generator(seed, _NS_DROP, i) for i in ids],
-            [_generator(seed, _NS_BASELINE, i) for i in ids] if with_baseline else None,
+            [_generator(seed, _NS_ORACLE_DROP, i) for i in ids],
+            [_generator(seed, _NS_ORACLE_BASELINE, i) for i in ids] if with_baseline else None,
         ))
     return _concat(parts)
 
@@ -71,10 +81,10 @@ def compare_engines(cfg: SimConfig, deployment, n_drops: int, with_baseline=Fals
     out = {}
     samples = {}
     for name, engine, seed in (
-        ("kernel", run_drop, _KERNEL_SEED),
-        ("oracle", run_drop_vector, _ORACLE_SEED),
+        ("kernel", _run_kernel, _KERNEL_SEED),
+        ("oracle", _run_oracle, _ORACLE_SEED),
     ):
-        drops = _run(engine, cfg, deployment, seed, n_drops, with_baseline)
+        drops = engine(cfg, deployment, seed, n_drops, with_baseline)
         i = np.arange(n_drops)
         samples[name] = {
             "sinr_db": drops.sinr_db[i, i % n_rb],
@@ -111,7 +121,7 @@ def test_vector_channel_statistics_follow_kernel_laws():
     deployment = _deployment(cfg, 50)
     cu_gain, proj = zip(
         *(
-            vector_channel_statistics(cfg, deployment, _generator(_ORACLE_SEED, _NS_DROP, i))
+            vector_channel_statistics(cfg, deployment, _generator(_ORACLE_SEED, _NS_ORACLE_DROP, i))
             for i in range(500)
         )
     )

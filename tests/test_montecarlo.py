@@ -11,6 +11,7 @@ from mtc_underlay import (
     ConfigError,
     DropResult,
     SimConfig,
+    draw_chunk,
     experiment_outage,
     experiment_single_rb,
     experiment_throughput,
@@ -20,15 +21,15 @@ from mtc_underlay import (
     verify_asymptotic,
 )
 from mtc_underlay import montecarlo
-from mtc_underlay.montecarlo import _generator
 
 DATA = Path(__file__).parent / "data"
 
 
 def _drop(cfg, seed=0, drop_seed=1):
-    """One drop, as a block of one."""
+    """One drop, as a block of one: the one-drop chunk of root seed ``drop_seed``."""
+    cfg = replace(cfg, n_drops=1, seed=drop_seed)
     dep = sample_deployment(cfg, np.random.default_rng(seed))
-    return run_drop(cfg, dep, [np.random.default_rng(drop_seed)])
+    return run_drop(cfg, dep, draw_chunk(cfg, dep, 0))
 
 
 def test_run_drop_shapes_and_ranges():
@@ -63,13 +64,11 @@ def test_run_drop_deterministic():
 @pytest.mark.parametrize("n_rb, k", [(20, 5), (3, 40), (1, 7)])
 def test_block_equals_its_drops_one_at_a_time(mode, n_rb, k):
     # a block is scored at once; every drop in it must come out as if alone
-    cfg = SimConfig(k=k, n_rb=n_rb, mtd_power_mode=mode)
+    cfg = SimConfig(k=k, n_rb=n_rb, mtd_power_mode=mode, seed=5, n_drops=6)
     dep = sample_deployment(cfg, np.random.default_rng(2))
-    ids = range(6)
-    block = run_drop(
-        cfg, dep, [_generator(5, 1, i) for i in ids], [_generator(5, 2, i) for i in ids]
-    )
-    singles = [run_drop(cfg, dep, [_generator(5, 1, i)], [_generator(5, 2, i)]) for i in ids]
+    block = run_drop(cfg, dep, draw_chunk(cfg, dep, 0, with_baseline=True))
+    draws = draw_chunk(cfg, dep, 0, with_baseline=True)
+    singles = [run_drop(cfg, dep, draws, slice(i, i + 1)) for i in range(6)]
     for f in fields(DropResult):
         stacked = np.concatenate([getattr(d, f.name) for d in singles])
         np.testing.assert_array_equal(getattr(block, f.name), stacked, err_msg=f.name)
@@ -157,6 +156,13 @@ def test_workers_do_not_change_results():
     serial = experiment_single_rb(cfg, [1, 4], [0.0], workers=1)
     pooled = experiment_single_rb(cfg, [1, 4], [0.0], workers=2)
     assert serial.to_csv_text() == pooled.to_csv_text()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 399, 400, 4001])
+def test_median_is_bit_equal_to_numpy(n):
+    rng = np.random.default_rng(n)
+    for values in (rng.standard_normal(n) * 7.0, np.round(rng.standard_normal(n), 1)):
+        assert montecarlo._median(values) == np.median(values)
 
 
 def test_k_values_must_be_ascending_unique():
@@ -289,9 +295,9 @@ def test_golden_single_rb_csv():
     assert s.to_csv_text() == golden.read_text()
 
 
-# The two goldens below were written by the per-drop engine, before drops ran
-# in blocks: N = 20 with K below, at and above N (random baseline included),
-# and controlled MTD power, where some MTDs' power binds at the cap.
+# The two goldens below cover N = 20 with K below, at and above N (random
+# baseline included), and controlled MTD power, where some MTDs' power binds
+# at the cap. All four drop goldens were last written under RNG contract 3.
 _THROUGHPUT_GOLDEN = (SimConfig(n_drops=200), [5, 20, 50])
 _OUTAGE_GOLDEN = (
     SimConfig(n_drops=300, mtd_power_mode="controlled", delta_th_db=9.5, mtd_target_sinr_db=45.0),
@@ -309,10 +315,10 @@ def test_golden_outage_controlled_csv():
     assert s.to_csv_text() == (DATA / "golden_outage_controlled.csv").read_text()
 
 
-# Written by an engine that sampled a separate deployment for each K of an
-# outage sweep. A K-MTD deployment is the prefix of the largest-K one, so the
-# shared sweep deployment must reproduce it; fixed power, which the controlled
-# golden above does not cover.
+# A K-MTD deployment is the prefix of the largest-K one, so the shared sweep
+# deployment reproduces a separate deployment per K (the CSV matched an engine
+# that sampled one per K until RNG contract 3); fixed power, which the
+# controlled golden above does not cover.
 def test_golden_outage_fixed_csv():
     s = experiment_outage(SimConfig(n_drops=300, mtd_fixed_power_dbm=-5.0), [1, 7, 64, 300])
     assert s.to_csv_text() == (DATA / "golden_outage_fixed.csv").read_text()
@@ -335,10 +341,24 @@ def test_block_size_and_workers_do_not_change_csv(run, monkeypatch):
     assert run(2).to_csv_text() == reference
 
 
-def test_substream_independence_of_drop_index():
-    # drop i's stream is a pure function of (seed, namespace, i)
-    g1 = _generator(42, 1, 7).standard_normal(4)
-    g2 = _generator(42, 1, 7).standard_normal(4)
-    g3 = _generator(42, 1, 8).standard_normal(4)
-    np.testing.assert_array_equal(g1, g2)
-    assert not np.array_equal(g1, g3)
+def test_chunk_streams_depend_only_on_seed_and_chunk():
+    # chunk c's draws are a pure function of (seed, namespace, c): its drops
+    # come out the same whether the run starts at drop 0 or at the chunk
+    size = montecarlo.CHUNK_DROPS
+    cfg = SimConfig(k=30, n_rb=4, n_drops=2 * size)
+    dep = sample_deployment(cfg, np.random.default_rng(3))
+    whole = montecarlo._run_drops(cfg, dep, None, with_baseline=True)
+    alone = montecarlo._run_chunk((cfg, dep, 1, True, 1))  # drops [256, 512), one per block
+    for f in fields(DropResult):
+        np.testing.assert_array_equal(
+            getattr(alone, f.name), getattr(whole, f.name)[size:], err_msg=f.name
+        )
+    assert not np.array_equal(whole.sinr_db[:size], whole.sinr_db[size:])
+    # a different chunk or seed: different CU draws and differently seeded streams
+    ref = draw_chunk(cfg, dep, 1, with_baseline=True)
+    other_seed = replace(cfg, seed=cfg.seed + 1)
+    for other in (draw_chunk(cfg, dep, 0, True), draw_chunk(other_seed, dep, 1, True)):
+        assert not np.array_equal(other.cu_gain, ref.cu_gain)
+        for stream in ("projection", "mta", "baseline"):
+            state = getattr(other, stream).bit_generator.state
+            assert state != getattr(ref, stream).bit_generator.state, stream
