@@ -2,10 +2,8 @@
 resource blocks through opportunistic min-interference MTD scheduling."""
 
 from .channel import (
-    BS_POSITION,
     Deployment,
     GeometryError,
-    Position,
     linear_gain,
     sample_cu_position,
     sample_deployment,
@@ -21,29 +19,15 @@ from .montecarlo import (
     run_drop,
     verify_asymptotic,
 )
-from .phy import (
-    LinkBudget,
-    outage_indicator,
-    sinr_mta,
-    throughput,
-)
-from .scheduler import (
-    Assignment,
-    cu_power_control,
-    match_assignments,
-    mtd_power_control,
-)
+from .phy import outage_indicator, throughput
+from .scheduler import cu_power_control, match_assignments, mtd_power_control
 
 __all__ = [
-    "Assignment",
-    "BS_POSITION",
     "ConfigError",
     "Deployment",
     "DropResult",
     "ExperimentSummary",
     "GeometryError",
-    "LinkBudget",
-    "Position",
     "SimConfig",
     "cu_power_control",
     "draw_chunk",
@@ -60,7 +44,6 @@ __all__ = [
     "sample_cu_position",
     "sample_deployment",
     "serialize_config",
-    "sinr_mta",
     "throughput",
     "verify_asymptotic",
 ]

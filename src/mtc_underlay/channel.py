@@ -3,6 +3,8 @@
 The base station sits at the origin of a disk cell. A machine-type aggregator
 (MTA) is placed uniformly in the cell and serves a cluster of machine-type
 devices (MTDs) around it; the cellular user (CU) is redrawn every drop.
+Positions are arrays of (x, y) coordinates in meters; every placement draws
+from one vectorised disk-rejection sampler.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .config import ConfigError, SimConfig
 
-#: attempts before declaring a rejection-sampling region infeasible
+#: candidates in a row that may miss before a placement region counts as infeasible
 _MAX_REJECTION_TRIES = 100_000
 
 
@@ -22,41 +24,22 @@ class GeometryError(ValueError):
     """Geometry outside the model's domain of validity."""
 
 
-@dataclass(frozen=True)
-class Position:
-    """Planar position in meters; the base station is the origin."""
-
-    x: float
-    y: float
-
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    @property
-    def r(self) -> float:
-        """Distance from the base station."""
-        return math.hypot(self.x, self.y)
-
-
-#: the base station anchors the coordinate system
-BS_POSITION = Position(0.0, 0.0)
-
-
-@dataclass
+@dataclass(eq=False)
 class Deployment:
-    """Node placement for one experiment: fixed MTA/MTD positions, per-drop CU.
+    """Node placement for one experiment: the MTA at ``mta`` = (x, y) and the
+    K MTDs as the rows of the (K, 2) array ``mtds``; the CU moves every drop.
 
     MTD distances to the BS and to the MTA are computed once, at construction,
     and shared read-only by every drop; positions are not to be changed after.
     """
 
-    bs: Position
-    mta: Position
-    mtds: list[Position]
+    mta: tuple[float, float]
+    mtds: np.ndarray
 
     def __post_init__(self):
-        self._bs_d = _read_only([p.r for p in self.mtds])
-        self._mta_d = _read_only([p.distance_to(self.mta) for p in self.mtds])
+        x, y = self.mtds.T
+        self._bs_d = _read_only(_hypot(x, y))
+        self._mta_d = _read_only(_hypot(x - self.mta[0], y - self.mta[1]))
         self._gains: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -82,13 +65,18 @@ class Deployment:
         """First-k slice of the MTD cluster (nested K sweeps)."""
         if not 1 <= k <= self.n_mtds:
             raise ValueError(f"k must be in [1, {self.n_mtds}], got {k}")
-        return Deployment(bs=self.bs, mta=self.mta, mtds=self.mtds[:k])
+        return Deployment(mta=self.mta, mtds=self.mtds[:k])
 
 
-def _read_only(values) -> np.ndarray:
-    a = np.array(values, dtype=float)
+def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.hypot``, whose values the deployment's distances
+    keep: ``np.hypot`` differs from it in the last bit."""
+    return np.array(list(map(math.hypot, x.tolist(), y.tolist())), dtype=float)
 
 
 def linear_gain(distance_m, min_distance_m: float = 10.0):
@@ -102,68 +90,73 @@ def linear_gain(distance_m, min_distance_m: float = 10.0):
     return 10.0 ** (-pl_db / 10.0)
 
 
-def _sample_disk(center: Position, radius: float, rng: np.random.Generator) -> Position:
-    r = radius * math.sqrt(rng.uniform())
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return Position(center.x + r * math.cos(theta), center.y + r * math.sin(theta))
+def _sample_disk(rng, n, center, radius, accept, what: str, grow=False) -> np.ndarray:
+    """The first ``n`` admissible of uniform candidates in the disk of
+    ``radius`` around ``center``, as rows (r, x, y) of a (3, n) array, r the
+    distance to ``center``.
+
+    Candidates are rows (radius, angle) of ``rng.random``, the order in which
+    a one-at-a-time sampler draws them, and ``accept(r, x, y)`` marks the
+    admissible ones. A batch holds exactly the points still needed, so the
+    sampler consumes the candidates a one-at-a-time sampler consumes. With
+    ``grow`` (the CU sampler of RNG contract 3) batches double while every
+    candidate misses, which may draw past the last point. Raises ConfigError
+    once ``_MAX_REJECTION_TRIES`` candidates in a row miss.
+    """
+    parts, got, misses = [], 0, 0
+    while got < n:
+        if misses >= _MAX_REJECTION_TRIES:
+            raise ConfigError(
+                f"{what}: {misses} candidate positions in a row rejected; "
+                f"the configured geometry leaves (almost) no admissible region"
+            )
+        u = rng.random((max(n - got, misses) if grow else n - got, 2))
+        r = radius * np.sqrt(u[:, 0])
+        theta = 2.0 * math.pi * u[:, 1]
+        points = np.stack([r, center[0] + r * np.cos(theta), center[1] + r * np.sin(theta)])
+        hits = np.flatnonzero(accept(*points))
+        misses = misses + len(u) if hits.size == 0 else len(u) - 1 - hits[-1]
+        parts.append(points[:, hits])
+        got += hits.size
+    return np.concatenate(parts, axis=1)[:, :n]
 
 
 def sample_deployment(config: SimConfig, rng: np.random.Generator) -> Deployment:
     """Draw the MTA uniformly in the cell and ``config.k`` MTDs in its cluster.
 
-    MTDs are uniform in the disk of radius ``mta_cluster_radius_m`` around the
-    MTA, constrained to the cell and to the minimum BS distance (rejection
-    sampling). The CU is not placed here; it moves every drop.
+    The MTA is at least the minimum distance from the BS; MTDs are uniform in
+    the disk of radius ``mta_cluster_radius_m`` around the MTA, constrained to
+    the cell and to the minimum BS distance (rejection sampling, the MTA's
+    candidates first). The CU is not placed here; it moves every drop.
     """
     config.validate()
-    mta = _rejection_sample(
-        lambda: _sample_disk(BS_POSITION, config.cell_radius_m, rng),
-        lambda p: p.r >= config.min_distance_m,
-        "MTA placement",
-    )
-    mtds = []
-    for _ in range(config.k):
-        mtds.append(
-            _rejection_sample(
-                lambda: _sample_disk(mta, config.mta_cluster_radius_m, rng),
-                lambda p: p.r <= config.cell_radius_m and p.r >= config.min_distance_m,
-                "MTD placement",
-            )
-        )
-    return Deployment(bs=BS_POSITION, mta=mta, mtds=mtds)
+    lo, hi = config.min_distance_m, config.cell_radius_m
+    _, x, y = _sample_disk(
+        rng, 1, (0.0, 0.0), hi, lambda r, x, y: _hypot(x, y) >= lo, "MTA placement"
+    )[:, 0]
+    mta = (float(x), float(y))
+
+    def in_cell(r, x, y):
+        d = _hypot(x, y)
+        return (d <= hi) & (d >= lo)
+
+    mtds = _sample_disk(rng, config.k, mta, config.mta_cluster_radius_m, in_cell, "MTD placement")
+    return Deployment(mta=mta, mtds=_read_only(mtds[1:].T.copy()))
 
 
 def sample_cu_position(
-    config: SimConfig, mta: Position, rng: np.random.Generator, n: int
+    config: SimConfig, mta: tuple[float, float], rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """Distances to the BS of ``n`` uniform CU positions: in-cell, >= min
     distance from the BS, and outside the ``cu_mta_exclusion_m`` disk around
-    the MTA. Rejection sampling on candidates drawn as rows (radius, angle)
-    of ``rng.random``, the first ``n`` accepted kept in order; raises
-    ConfigError once ``_MAX_REJECTION_TRIES`` candidates in a row miss."""
-    out, misses = np.empty(0), 0
-    while out.size < n:
-        if misses >= _MAX_REJECTION_TRIES:
-            raise ConfigError(
-                f"CU placement: {misses} candidate positions in a row rejected; "
-                f"the configured geometry leaves (almost) no admissible region"
-            )
-        u = rng.random((max(n - out.size, misses), 2))  # batches double while all miss
-        r = config.cell_radius_m * np.sqrt(u[:, 0])
-        theta = 2.0 * math.pi * u[:, 1]
-        to_mta = np.hypot(r * np.cos(theta) - mta.x, r * np.sin(theta) - mta.y)
-        hits = np.flatnonzero((r >= config.min_distance_m) & (to_mta >= config.cu_mta_exclusion_m))
-        misses = misses + len(u) if hits.size == 0 else len(u) - 1 - hits[-1]
-        out = np.concatenate([out, r[hits]])
-    return out[:n]
+    the MTA at ``mta`` = (x, y). Rejection sampling with the batches of RNG
+    contract 3, which double while every candidate misses; raises
+    ConfigError when the admissible region is (almost) empty."""
 
+    def admissible(r, x, y):
+        to_mta = np.hypot(x - mta[0], y - mta[1])
+        return (r >= config.min_distance_m) & (to_mta >= config.cu_mta_exclusion_m)
 
-def _rejection_sample(draw, accept, what: str) -> Position:
-    for _ in range(_MAX_REJECTION_TRIES):
-        p = draw()
-        if accept(p):
-            return p
-    raise ConfigError(
-        f"{what}: no feasible position found in {_MAX_REJECTION_TRIES} draws; "
-        f"the configured geometry leaves (almost) no admissible region"
-    )
+    return _sample_disk(
+        rng, n, (0.0, 0.0), config.cell_radius_m, admissible, "CU placement", grow=True
+    )[0]

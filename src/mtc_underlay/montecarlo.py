@@ -7,7 +7,9 @@ results are bit-reproducible for any worker count and any power mode shares
 the same randomness — sweeps differ only where the physics differs. A chunk
 draws its CU positions and gains at its start and runs its drops in blocks,
 each block drawing the next variates from the chunk's streams, so block size
-changes no result either.
+changes no result either. A drop draws link gains, not channels, and only
+those its outputs read: MTD-to-MTA gains only under controlled MTD power,
+random-baseline permutations only where the baseline is scored.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from .channel import (
     sample_deployment,
 )
 from .config import SimConfig
-from .phy import (
-    LinkBudget,
-    outage_indicator,
-    sinr_mta,
-    throughput,
-)
+from .phy import outage_indicator, throughput
 from .scheduler import (
     cu_power_control,
     match_assignments,
@@ -69,12 +66,13 @@ class ChunkDraws:
     """The variates of one chunk of D drops under RNG contract 3: the CU gains
     g_c Gamma(M, 1), ``cu_gain`` (D, N), drawn at chunk start, and the streams
     from which the chunk's blocks, in drop order, draw their MTD-to-BS
-    projections g_k Exp(1) (d, N, K), MTD-to-MTA gains g_mta Exp(1) (d, K)
-    and, when the random baseline is scored, one MTD permutation per drop."""
+    projections g_k Exp(1) (d, N, K), in controlled power mode their MTD-to-MTA
+    gains g_mta Exp(1) (d, K) and, when the random baseline is scored, one MTD
+    permutation per drop. A stream a run does not read is None."""
 
     cu_gain: np.ndarray
     projection: np.random.Generator
-    mta: np.random.Generator
+    mta: np.random.Generator | None = None
     baseline: np.random.Generator | None = None
 
 
@@ -83,26 +81,30 @@ def draw_chunk(
 ) -> ChunkDraws:
     """Chunk ``chunk`` of ``config.n_drops`` drops: its streams, keyed
     (seed, namespace, chunk), and its CU gains, drawn from the CU stream after
-    all of its CU distances."""
+    all of its CU distances. Each stream is its own sequence, so leaving out
+    the MTA stream in fixed power mode, or the baseline stream, moves no
+    other variate."""
     n = min(CHUNK_DROPS, config.n_drops - chunk * CHUNK_DROPS)
-    cu, projection, mta, baseline = (
-        _generator(config.seed, ns, chunk) for ns in (_NS_CU, _NS_PROJECTION, _NS_MTA, _NS_BASELINE)
-    )
+    cu = _generator(config.seed, _NS_CU, chunk)
     r = sample_cu_position(config, deployment.mta, cu, n)
     cu_gain = cu.standard_gamma(config.antennas, (n, config.n_rb))
     cu_gain *= linear_gain(r, config.min_distance_m)[:, None]
-    return ChunkDraws(cu_gain, projection, mta, baseline if with_baseline else None)
+    return ChunkDraws(
+        cu_gain,
+        _generator(config.seed, _NS_PROJECTION, chunk),
+        _generator(config.seed, _NS_MTA, chunk) if config.mtd_power_mode == "controlled" else None,
+        _generator(config.seed, _NS_BASELINE, chunk) if with_baseline else None,
+    )
 
 
 @dataclass
 class DropResult:
     """Outcome of a block of D drops: per-RB arrays are (D, N), throughputs
-    (D,). An RB with no MTD carries selected_mtd -1, zero interference, NaN MTA SINR."""
+    (D,). An RB with no MTD carries selected_mtd -1 and zero interference."""
 
     sinr_db: np.ndarray
     selected_mtd: np.ndarray
     eff_interference_w: np.ndarray
-    mta_sinr_db: np.ndarray
     throughput_bps: np.ndarray
     outage: np.ndarray
     baseline_throughput_bps: np.ndarray | None = None
@@ -144,38 +146,32 @@ def run_drop(
     gain ||h_c,n||^2 is g_c Gamma(M, 1) and MTD k's post-combiner gain
     |u_n^H h_k,n|^2 is g_k Exp(1), independent of each other and across RBs
     and MTDs. The block takes its CU gains from ``draws`` and the next
-    projections and MTA gains from the chunk's streams, so a chunk's blocks
-    must run in drop order. Everything after the draws runs once for the
-    block. With a baseline stream, a uniformly random injective assignment is
-    scored alongside on the same interference matrix.
+    projections and, in controlled power mode, MTA gains from the chunk's
+    streams, so a chunk's blocks must run in drop order. Power control reads
+    the drawn gains, and everything after the draws runs once for the block.
+    With a baseline stream, a uniformly random injective assignment is scored
+    alongside on the same interference matrix.
     """
     cu_gain = draws.cu_gain[block]
     n_drops, n_rb = cu_gain.shape
     k = deployment.n_mtds
-    n0, i0 = config.noise_power_w, config.i0_w
+    n0 = config.noise_power_w
     g_bs, g_mta = deployment.mtd_gains(config.min_distance_m)
-    proj = draws.projection.standard_exponential((n_drops, n_rb, k))
-    proj *= g_bs
-    mta_gain = draws.mta.standard_exponential((n_drops, k))
-    mta_gain *= g_mta
-    # power control and the MTA SINR need only |h|^2: real amplitudes with the
-    # drawn gains stand in for the channels (h_c as N one-antenna channels)
-    h_mta = np.sqrt(mta_gain)
-
+    # post-combiner interference in watts, (D, N, K)
+    matrix = draws.projection.standard_exponential((n_drops, n_rb, k))
+    matrix *= g_bs
     if config.mtd_power_mode == "fixed":
-        p_mtd = np.full((n_drops, k), config.mtd_fixed_power_w)
+        matrix *= config.mtd_fixed_power_w
     else:
+        mta_gain = draws.mta.standard_exponential((n_drops, k))
+        mta_gain *= g_mta
         p_mtd = mtd_power_control(
-            h_mta,
-            LinkBudget(p_c=0.0, p_k=0.0, n0=n0, i0=i0),
-            config.mtd_target_sinr,
-            config.p_max_w,
+            mta_gain, n0, config.i0_w, config.mtd_target_sinr, config.p_max_w
         )
+        matrix *= p_mtd[:, None, :]
 
-    matrix = proj  # post-combiner interference in watts, (D, N, K)
-    matrix *= p_mtd[:, None, :]
     idx = match_assignments(matrix)
-    p_c = cu_power_control(np.sqrt(cu_gain)[..., None], n0, config.cu_target_sinr, config.p_max_w)
+    p_c = cu_power_control(cu_gain, n0, config.cu_target_sinr, config.p_max_w)
     signal = p_c * cu_gain
     drops, rbs = np.ogrid[:n_drops, :n_rb]
 
@@ -185,12 +181,6 @@ def run_drop(
 
     eff_int = interference(idx)
     sinr = signal / (eff_int + n0)
-
-    mta_sinr_db = np.full((n_drops, n_rb), np.nan)
-    served, mtd = idx >= 0, np.maximum(idx, 0)
-    mta_budget = LinkBudget(p_c=0.0, p_k=p_mtd[drops, mtd][served], n0=n0, i0=i0)
-    with np.errstate(divide="ignore"):  # zero-power MTD -> -inf dB
-        mta_sinr_db[served] = 10.0 * np.log10(sinr_mta(h_mta[drops, mtd][served], mta_budget))
 
     baseline_bps = None
     if draws.baseline is not None:
@@ -204,7 +194,6 @@ def run_drop(
         sinr_db=10.0 * np.log10(sinr),
         selected_mtd=idx,
         eff_interference_w=eff_int,
-        mta_sinr_db=mta_sinr_db,
         throughput_bps=throughput(sinr, config.rb_bandwidth_hz),
         outage=outage_indicator(sinr, config.delta_th),
         baseline_throughput_bps=baseline_bps,
@@ -299,6 +288,8 @@ def _single_rb_points(config: SimConfig, k_values, power_values=None) -> list[Si
     base = replace(config, n_rb=1)
     if config.mtd_power_mode == "fixed":
         powers = [config.mtd_fixed_power_dbm] if power_values is None else list(power_values)
+        if not powers:
+            raise ValueError("power_values must hold at least one MTD power")
         return [replace(base, k=k, mtd_fixed_power_dbm=float(p)) for k in ks for p in powers]
     if power_values is not None:
         raise ValueError("power_values sets fixed MTD powers; controlled power mode has none")
@@ -401,6 +392,10 @@ def verify_asymptotic(
     ks = _check_k_values(k_values)
     delta = config.delta_i_w if delta_i is None else float(delta_i)
     n = int(n_samples) if n_samples is not None else config.n_drops
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta_i must be finite and nonnegative, got {delta_i}")
+    if n < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     m = config.antennas
     g = float(linear_gain(config.mta_cluster_radius_m, config.min_distance_m))
     rng = _generator(config.seed, _NS_ASYMPTOTIC)

@@ -10,14 +10,21 @@ engines give the same output distributions.
 ``match_assignments_loop`` is the matching rounds as a Python loop over one
 drop's RBs; ``mtc_underlay.match_assignments`` runs the same rounds on a
 whole block of drops at once, and ``tests/test_scheduler.py`` checks them
-against each other. ``optimal_assignment_oracle`` enumerates every
-assignment, the optimum the greedy rounds are measured against, and
-``select_min_interference`` is one RB's pick, the argmin of its row.
+against each other. ``match_matrix`` is the block matcher on one (N, K)
+matrix, returning an :class:`Assignment`. ``optimal_assignment_oracle``
+enumerates every assignment, the optimum the greedy rounds are measured
+against, and ``select_min_interference`` is one RB's pick, the argmin of its
+row.
+
+``sample_deployment_scalar`` and ``sample_cu_position_scalar`` place nodes one
+candidate at a time, as :class:`Position` objects; the runtime samplers place
+whole arrays of them and must accept the same candidates.
 
 The antenna-level helpers the vector-channel engine is built from
-(``gen_channel*``, ``mrc_weights``, ``sinr_cellular``,
-``build_interference_matrix`` and friends) live here too; the runtime package
-draws only the sufficient statistics and never calls them.
+(``gen_channel*``, ``mrc_weights``, ``sinr_cellular`` with its
+:class:`LinkBudget`, ``sinr_mta``, ``build_interference_matrix`` and friends)
+live here too; the runtime package draws only the sufficient statistics and
+never calls them.
 
 Conventions: a beamformer ``w`` is applied to a channel ``h`` as the plain
 (bilinear) inner product ``w @ h`` — conjugation is baked into ``w`` itself,
@@ -29,26 +36,58 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from mtc_underlay import (
-    BS_POSITION,
-    Assignment,
+    ConfigError,
     Deployment,
     DropResult,
-    LinkBudget,
     SimConfig,
     cu_power_control,
     linear_gain,
+    match_assignments,
     mtd_power_control,
     outage_indicator,
-    sinr_mta,
     throughput,
 )
-from mtc_underlay.channel import Position, _rejection_sample, _sample_disk
-from mtc_underlay.scheduler import as_interference_matrix
+from mtc_underlay.channel import _MAX_REJECTION_TRIES
+
+# --- link budget ----------------------------------------------------------------
+
+
+@dataclass
+class LinkBudget:
+    """Transmit powers and noise/interference floors, all in watts.
+
+    ``p_c``: cellular-user TX power, ``p_k``: interfering/served MTD TX power,
+    ``n0``: per-RB noise power, ``i0``: MTA-side interference floor. Scalar or
+    broadcastable arrays.
+    """
+
+    p_c: float
+    p_k: float
+    n0: float
+    i0: float = 0.0
+
+    def __post_init__(self):
+        if np.any(np.asarray(self.n0) <= 0):
+            raise ValueError("n0 must be positive")
+        for name in ("p_c", "p_k", "i0"):
+            if np.any(np.asarray(getattr(self, name)) < 0):
+                raise ValueError(f"{name} must be nonnegative")
+
+
+def sinr_mta(h_k, budget: LinkBudget):
+    """SINR of an MTD at the single-antenna MTA: p_k |h_k|^2 / (i0 + n0)."""
+    return (
+        np.asarray(budget.p_k)
+        * np.abs(np.asarray(h_k)) ** 2
+        / (np.asarray(budget.i0) + np.asarray(budget.n0))
+    )
+
 
 # --- antenna-level channels, combining and interference ----------------------
 
@@ -192,13 +231,65 @@ def _cn01(shape, rng: np.random.Generator) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def sample_cu_position_scalar(config: SimConfig, mta: Position, rng: np.random.Generator) -> Position:
+class Position(NamedTuple):
+    """Planar position in meters; the base station is the origin."""
+
+    x: float
+    y: float
+
+    def distance_to(self, other) -> float:
+        """Distance to ``other``, any (x, y) pair."""
+        return math.hypot(self.x - other[0], self.y - other[1])
+
+    @property
+    def r(self) -> float:
+        """Distance from the base station."""
+        return math.hypot(self.x, self.y)
+
+
+def _sample_disk(center, radius: float, rng: np.random.Generator) -> Position:
+    r = radius * math.sqrt(rng.uniform())
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    return Position(center[0] + r * math.cos(theta), center[1] + r * math.sin(theta))
+
+
+def _rejection_sample(draw, accept, what: str) -> Position:
+    for _ in range(_MAX_REJECTION_TRIES):
+        p = draw()
+        if accept(p):
+            return p
+    raise ConfigError(f"{what}: no feasible position found in {_MAX_REJECTION_TRIES} draws")
+
+
+def sample_deployment_scalar(config: SimConfig, rng: np.random.Generator):
+    """The MTA and the ``config.k`` MTD positions of
+    ``mtc_underlay.sample_deployment``, one candidate at a time (the sampler
+    up to RNG contract 3): ``(mta, [mtd, ...])`` as :class:`Position` objects."""
+    mta = _rejection_sample(
+        lambda: _sample_disk((0.0, 0.0), config.cell_radius_m, rng),
+        lambda p: p.r >= config.min_distance_m,
+        "MTA placement",
+    )
+    mtds = []
+    for _ in range(config.k):
+        mtds.append(
+            _rejection_sample(
+                lambda: _sample_disk(mta, config.mta_cluster_radius_m, rng),
+                lambda p: p.r <= config.cell_radius_m and p.r >= config.min_distance_m,
+                "MTD placement",
+            )
+        )
+    return mta, mtds
+
+
+def sample_cu_position_scalar(config: SimConfig, mta, rng: np.random.Generator) -> Position:
     """One CU position, one candidate at a time (the sampler of RNG contract
-    2). It draws its candidates as (radius, angle) uniforms in the order in
-    which ``mtc_underlay.sample_cu_position`` reads its rows, so on one stream
-    both accept the same candidates."""
+    2), around the MTA at ``mta`` = (x, y). It draws its candidates as
+    (radius, angle) uniforms in the order in which
+    ``mtc_underlay.sample_cu_position`` reads its rows, so on one stream both
+    accept the same candidates."""
     return _rejection_sample(
-        lambda: _sample_disk(BS_POSITION, config.cell_radius_m, rng),
+        lambda: _sample_disk((0.0, 0.0), config.cell_radius_m, rng),
         lambda p: p.r >= config.min_distance_m and p.distance_to(mta) >= config.cu_mta_exclusion_m,
         "CU placement",
     )
@@ -208,6 +299,46 @@ def sample_cu_position_scalar(config: SimConfig, mta: Position, rng: np.random.G
 
 #: enumeration guard for the brute-force optimal assignment
 _ORACLE_MAX = 8
+
+
+@dataclass
+class Assignment:
+    """RB -> MTD map; ``None`` marks an RB left without an MTD (K < N)."""
+
+    rb_to_mtd: list[int | None]
+
+    def __post_init__(self):
+        taken = [m for m in self.rb_to_mtd if m is not None]
+        if len(taken) != len(set(taken)):
+            raise ValueError(f"assignment reuses an MTD: {self.rb_to_mtd}")
+
+    @property
+    def n_assigned(self) -> int:
+        return sum(m is not None for m in self.rb_to_mtd)
+
+    def total_interference(self, matrix: np.ndarray) -> float:
+        """Sum of matrix entries over assigned (RB, MTD) pairs, in RB order."""
+        matrix = as_interference_matrix(matrix)
+        return float(
+            sum(matrix[n, m] for n, m in enumerate(self.rb_to_mtd) if m is not None)
+        )
+
+
+def as_interference_matrix(matrix) -> np.ndarray:
+    """Validate and return an (N, K) matrix of nonnegative finite watts."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or 0 in m.shape:
+        raise ValueError(f"interference matrix must be 2-D and nonempty, got shape {m.shape}")
+    if not np.all(np.isfinite(m)) or np.any(m < 0):
+        raise ValueError("interference matrix entries must be finite and nonnegative")
+    return m
+
+
+def match_matrix(matrix) -> Assignment:
+    """``mtc_underlay.match_assignments`` on one (N, K) matrix, as an
+    :class:`Assignment`."""
+    idx = match_assignments(as_interference_matrix(matrix)[None])[0]
+    return Assignment([None if j < 0 else int(j) for j in idx])
 
 
 def select_min_interference(row) -> int:
@@ -322,10 +453,7 @@ def _vector_drop(
         p_mtd = np.full(k, config.mtd_fixed_power_w)
     else:
         p_mtd = mtd_power_control(
-            h_mta,
-            LinkBudget(p_c=0.0, p_k=0.0, n0=n0, i0=i0),
-            config.mtd_target_sinr,
-            config.p_max_w,
+            np.abs(h_mta) ** 2, n0, i0, config.mtd_target_sinr, config.p_max_w
         )
 
     # unit-norm MRC combiners make matrix entries physical (comparable) watts
@@ -334,18 +462,11 @@ def _vector_drop(
     matrix = build_interference_matrix(w, h_kb, p_mtd)
     assignment = match_assignments_loop(matrix)
 
-    p_c = cu_power_control(h_c, n0, config.cu_target_sinr, config.p_max_w)
+    p_c = cu_power_control(_norm_sq(h_c), n0, config.cu_target_sinr, config.p_max_w)
 
     idx = np.array([-1 if a is None else a for a in assignment.rb_to_mtd], dtype=int)
     sinr = _cellular_sinr_per_rb(h_c, w, h_kb, p_c, p_mtd, idx, n0)
     eff_int = np.where(idx >= 0, matrix[np.arange(n_rb), np.maximum(idx, 0)], 0.0)
-
-    mta_sinr_db = np.full(n_rb, np.nan)
-    served = idx >= 0
-    if np.any(served):
-        mta_budget = LinkBudget(p_c=0.0, p_k=p_mtd[idx[served]], n0=n0, i0=i0)
-        with np.errstate(divide="ignore"):  # zero-power MTD -> -inf dB
-            mta_sinr_db[served] = 10.0 * np.log10(sinr_mta(h_mta[idx[served]], mta_budget))
 
     baseline_bps = None
     if baseline_rng is not None:
@@ -360,7 +481,6 @@ def _vector_drop(
         sinr_db=10.0 * np.log10(sinr),
         selected_mtd=idx,
         eff_interference_w=eff_int,
-        mta_sinr_db=mta_sinr_db,
         throughput_bps=throughput(sinr, config.rb_bandwidth_hz),
         outage=outage_indicator(sinr, config.delta_th),
         baseline_throughput_bps=baseline_bps,

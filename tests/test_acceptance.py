@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 import mtc_underlay.cli as cli
-from mtc_underlay import (
+from mtc_underlay import SimConfig, experiment_single_rb, experiment_throughput, verify_asymptotic
+from oracles import (
     LinkBudget,
-    SimConfig,
-    experiment_single_rb,
-    experiment_throughput,
-    match_assignments,
-    verify_asymptotic,
+    mrc_weights,
+    optimal_assignment_oracle,
+    select_min_interference,
+    sinr_cellular,
 )
-from oracles import mrc_weights, optimal_assignment_oracle, select_min_interference, sinr_cellular
+from oracles import match_matrix as match_assignments
 
 _SWEEP_KS = [1, 10, 100, 1000]
 _THROUGHPUT_KS = [20, 50, 100, 200, 500, 1000]

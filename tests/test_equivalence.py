@@ -9,6 +9,13 @@ on the chunk streams of RNG contract 3; the oracle keeps one stream per drop
 and its own one-candidate-at-a-time CU sampler, so it shares no sampling code
 with the kernel.
 
+All comparisons of all configurations form one family of hypotheses, tested
+with Holm's step-down procedure (Holm, Scand. J. Statist. 6, 1979) at
+family-wise level ``_ALPHA``: a correct engine fails the file with
+probability at most ``_ALPHA``, whatever its streams. ``_DROPS`` is set so
+that an engine drawing the projections as Gamma(2)/2 (right mean, wrong law)
+still fails every configuration.
+
 Run as a script for the paper-scale comparison (10^4 drops per engine at the
 CLI's default K sweeps of ``single-rb`` and ``throughput``; a few minutes):
 
@@ -34,8 +41,11 @@ _DROPS = 2000
 _PAPER_DROPS = 10_000
 #: drops per oracle call
 _BLOCK = 100
+#: family-wise error rate of the engine comparison, fixed before any result
+_ALPHA = 0.05
+#: (n_rb, k, power mode, with_baseline) of each compared configuration
+_CASES = [(1, 10, "fixed", False), (1, 10, "controlled", False), (20, 50, "fixed", True)]
 _KS_P_MIN = 1e-3
-_Z_MAX = 1.96
 #: namespaces of the oracle's per-drop streams, keyed (seed, namespace, drop)
 _NS_ORACLE_DROP, _NS_ORACLE_BASELINE = 1, 2
 
@@ -63,19 +73,36 @@ def _run_oracle(cfg, deployment, seed, n_drops, with_baseline):
     return _concat(parts)
 
 
-def _z(a: np.ndarray, b: np.ndarray) -> float:
-    """Difference of two sample means over the standard error of the difference."""
+def _z_test_p(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sided p-value of the difference of two sample means, over the
+    standard error of the difference (normal approximation)."""
     se = math.sqrt(np.var(a, ddof=1) / a.size + np.var(b, ddof=1) / b.size)
     diff = abs(float(np.mean(a) - np.mean(b)))
-    return 0.0 if diff == 0.0 else diff / se
+    return 1.0 if diff == 0.0 else math.erfc(diff / se / math.sqrt(2.0))
+
+
+def holm_rejected(p_values: dict, alpha: float) -> set:
+    """Keys of the hypotheses Holm's step-down procedure rejects at
+    family-wise level ``alpha``: the i-th smallest of m p-values is rejected
+    while it and all smaller ones are at most alpha / (m - i), i from 0."""
+    ordered = sorted(p_values, key=p_values.get)
+    rejected = set()
+    for i, key in enumerate(ordered):
+        if p_values[key] > alpha / (len(ordered) - i):
+            break
+        rejected.add(key)
+    return rejected
 
 
 def compare_engines(cfg: SimConfig, deployment, n_drops: int, with_baseline=False) -> dict:
-    """Per-drop outputs of both engines, compared.
+    """Per-drop outputs of both engines, compared: p-values keyed by output.
 
-    The SINR sample takes one RB per drop, rotating over the RBs, so that its
-    values are independent (RBs of one drop share the CU position). Outage is
-    the per-drop fraction of RBs in outage; throughput is the per-drop sum.
+    ``sinr_db`` is a two-sample KS test of per-RB SINRs; the SINR sample
+    takes one RB per drop, rotating over the RBs, so that its values are
+    independent (RBs of one drop share the CU position). Every other key is
+    a two-sided z-test of the difference of per-drop means: ``outage``, the
+    per-drop fraction of RBs in outage, ``throughput``, the per-drop sum, and
+    ``baseline``, the random assignment's throughput.
     """
     n_rb = cfg.n_rb
     out = {}
@@ -94,24 +121,42 @@ def compare_engines(cfg: SimConfig, deployment, n_drops: int, with_baseline=Fals
         if with_baseline:
             samples[name]["baseline"] = drops.baseline_throughput_bps
     kernel, oracle = samples["kernel"], samples["oracle"]
-    out["ks_p"] = float(stats.ks_2samp(kernel["sinr_db"], oracle["sinr_db"]).pvalue)
-    for key in kernel.keys() - {"sinr_db"}:
-        out[key] = (float(np.mean(kernel[key])), float(np.mean(oracle[key])),
-                    _z(kernel[key], oracle[key]))
+    out["sinr_db"] = float(stats.ks_2samp(kernel["sinr_db"], oracle["sinr_db"]).pvalue)
+    for key in sorted(kernel.keys() - {"sinr_db"}):
+        out[key] = _z_test_p(kernel[key], oracle[key])
     return out
 
 
-@pytest.mark.parametrize(
-    "n_rb, k, mode, with_baseline",
-    [(1, 10, "fixed", False), (1, 10, "controlled", False), (20, 50, "fixed", True)],
-)
-def test_kernel_matches_vector_engine(n_rb, k, mode, with_baseline):
-    cfg = SimConfig(n_rb=n_rb, k=k, mtd_power_mode=mode)
-    result = compare_engines(cfg, _deployment(cfg, k), _DROPS, with_baseline)
-    assert result["ks_p"] > _KS_P_MIN, result
-    keys = ("outage", "throughput") + (("baseline",) if with_baseline else ())
-    for key in keys:
-        assert result[key][2] < _Z_MAX, (key, result)
+def family_p_values(n_drops: int) -> dict:
+    """Every comparison of every case in ``_CASES``, keyed (case, output)."""
+    family = {}
+    for case in _CASES:
+        n_rb, k, mode, with_baseline = case
+        cfg = SimConfig(n_rb=n_rb, k=k, mtd_power_mode=mode)
+        p_values = compare_engines(cfg, _deployment(cfg, k), n_drops, with_baseline)
+        family.update(((case, key), p) for key, p in p_values.items())
+    return family
+
+
+@pytest.fixture(scope="module")
+def family():
+    return family_p_values(_DROPS)
+
+
+@pytest.mark.parametrize("n_rb, k, mode, with_baseline", _CASES)
+def test_kernel_matches_vector_engine(family, n_rb, k, mode, with_baseline):
+    case = (n_rb, k, mode, with_baseline)
+    rejected = {key for c, key in holm_rejected(family, _ALPHA) if c == case}
+    assert not rejected, (rejected, {key: p for (c, key), p in family.items() if c == case})
+
+
+def test_holm_rejects_step_down():
+    # m = 4: thresholds 0.0125, 0.0167, 0.025, 0.05 for the sorted p-values
+    p = {"a": 0.01, "b": 0.016, "c": 0.03, "d": 0.04}
+    assert holm_rejected(p, 0.05) == {"a", "b"}
+    assert holm_rejected({**p, "a": 0.013}, 0.05) == set()
+    assert holm_rejected({"a": 0.04, "b": 0.04}, 0.05) == set()
+    assert holm_rejected({"a": 0.02, "b": 0.05}, 0.05) == {"a", "b"}
 
 
 def test_vector_channel_statistics_follow_kernel_laws():
@@ -141,12 +186,8 @@ def _paper_scale(n_drops: int) -> None:
         full = _deployment(cfg, ks[-1])
         for k in ks:
             r = compare_engines(replace(cfg, k=k), full.subset(k), n_drops, with_baseline)
-            cells = [f"KS p={r['ks_p']:.3f}"]
-            for key in ("outage", "throughput", "baseline"):
-                if key in r:
-                    a, b, z = r[key]
-                    cells.append(f"{key} {a:.6g} vs {b:.6g} (z={z:.2f})")
-            print(f"{name} K={k}: " + "; ".join(cells), flush=True)
+            print(f"{name} K={k}: " + "; ".join(f"{key} p={p:.3f}" for key, p in r.items()),
+                  flush=True)
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ def test_run_drop_shapes_and_ranges():
     assert d.sinr_db.shape == (1, 20)
     assert d.selected_mtd.shape == (1, 20)
     assert d.eff_interference_w.shape == (1, 20)
-    assert d.mta_sinr_db.shape == (1, 20)
     assert d.outage.shape == (1, 20)
     assert d.throughput_bps.shape == (1,)
     assert np.all(np.isfinite(d.sinr_db))
@@ -80,8 +79,6 @@ def test_run_drop_fewer_mtds_than_rbs():
     unassigned = d.selected_mtd == -1
     assert unassigned.sum() == 15
     assert np.all(d.eff_interference_w[unassigned] == 0.0)
-    assert np.all(np.isnan(d.mta_sinr_db[unassigned]))
-    assert np.all(~np.isnan(d.mta_sinr_db[~unassigned]))
 
 
 def test_zero_mtd_power_hits_cu_target_exactly():
@@ -132,6 +129,11 @@ def test_single_rb_controlled_mode_rejects_power_values():
     cfg = SimConfig(n_drops=10, mtd_power_mode="controlled")
     with pytest.raises(ValueError, match="controlled"):
         experiment_single_rb(cfg, [2], power_values=[0.0])
+
+
+def test_single_rb_rejects_empty_power_values():
+    with pytest.raises(ValueError, match="power_values"):
+        experiment_single_rb(SimConfig(n_drops=10), [1], power_values=[])
 
 
 def test_more_interferer_choices_help():
@@ -278,6 +280,18 @@ def test_asymptotic_deterministic_and_validates_k():
         verify_asymptotic(cfg, [4, 1])
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_asymptotic_rejects_no_samples(n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        verify_asymptotic(SimConfig(n_drops=10), [1], n_samples=n_samples)
+
+
+@pytest.mark.parametrize("delta_i", [math.nan, math.inf, -1e-13])
+def test_asymptotic_rejects_bad_threshold(delta_i):
+    with pytest.raises(ValueError, match="delta_i"):
+        verify_asymptotic(SimConfig(n_drops=10), [1], delta_i=delta_i)
+
+
 def test_asymptotic_threshold_override_moves_phi():
     cfg = SimConfig(n_drops=2000)
     low = verify_asymptotic(cfg, [1], delta_i=1e-14)
@@ -345,7 +359,7 @@ def test_chunk_streams_depend_only_on_seed_and_chunk():
     # chunk c's draws are a pure function of (seed, namespace, c): its drops
     # come out the same whether the run starts at drop 0 or at the chunk
     size = montecarlo.CHUNK_DROPS
-    cfg = SimConfig(k=30, n_rb=4, n_drops=2 * size)
+    cfg = SimConfig(k=30, n_rb=4, n_drops=2 * size, mtd_power_mode="controlled")
     dep = sample_deployment(cfg, np.random.default_rng(3))
     whole = montecarlo._run_drops(cfg, dep, None, with_baseline=True)
     alone = montecarlo._run_chunk((cfg, dep, 1, True, 1))  # drops [256, 512), one per block
@@ -362,3 +376,16 @@ def test_chunk_streams_depend_only_on_seed_and_chunk():
         for stream in ("projection", "mta", "baseline"):
             state = getattr(other, stream).bit_generator.state
             assert state != getattr(ref, stream).bit_generator.state, stream
+
+
+def test_fixed_power_chunk_has_no_mta_stream():
+    # fixed MTD power reads no MTD-to-MTA gain; the streams both modes read
+    # are the same, so the modes stay paired
+    cfg = SimConfig(k=30, n_rb=4, n_drops=10)
+    dep = sample_deployment(cfg, np.random.default_rng(3))
+    fixed = draw_chunk(cfg, dep, 0)
+    controlled = draw_chunk(replace(cfg, mtd_power_mode="controlled"), dep, 0)
+    assert fixed.mta is None and fixed.baseline is None
+    assert controlled.mta is not None
+    np.testing.assert_array_equal(fixed.cu_gain, controlled.cu_gain)
+    assert fixed.projection.bit_generator.state == controlled.projection.bit_generator.state

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from mtc_underlay import LinkBudget, outage_indicator, sinr_mta, throughput
+from mtc_underlay import outage_indicator, throughput
 from oracles import (
     DegenerateChannelError,
+    LinkBudget,
     effective_interference,
     interference_criterion,
     mrc_weights,
     sinr_cellular,
+    sinr_mta,
 )
 
 

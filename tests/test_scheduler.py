@@ -9,21 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mtc_underlay import (
+from mtc_underlay import cu_power_control, match_assignments, mtd_power_control
+from oracles import (
     Assignment,
     LinkBudget,
-    cu_power_control,
-    match_assignments,
-    mtd_power_control,
-    sinr_mta,
-)
-from oracles import (
     build_interference_matrix,
     match_assignments_loop,
+    match_matrix,
     mrc_weights,
     optimal_assignment_oracle,
     select_min_interference,
     sinr_cellular,
+    sinr_mta,
 )
 
 
@@ -115,23 +112,23 @@ def test_matrix_entries_are_nonnegative_and_match_formula():
 
 
 def test_match_hand_trace_two_rb():
-    a = match_assignments([[1.0, 5.0], [2.0, 3.0]])
+    a = match_matrix([[1.0, 5.0], [2.0, 3.0]])
     assert a.rb_to_mtd == [0, 1]
 
 
 def test_match_hand_trace_loser_takes_next_unclaimed():
-    a = match_assignments([[1.0, 2.0, 3.0], [1.1, 5.0, 6.0]])
+    a = match_matrix([[1.0, 2.0, 3.0], [1.1, 5.0, 6.0]])
     assert a.rb_to_mtd == [0, 1]
 
 
 def test_match_value_tie_goes_to_lower_rb():
-    a = match_assignments([[1.0, 5.0], [1.0, 3.0]])
+    a = match_matrix([[1.0, 5.0], [1.0, 3.0]])
     assert a.rb_to_mtd == [0, 1]
 
 
 def test_match_cascading_conflicts():
     m = [[1.0, 4.0, 9.0], [1.1, 2.0, 9.0], [1.2, 2.1, 9.0]]
-    a = match_assignments(m)
+    a = match_matrix(m)
     assert a.rb_to_mtd == [0, 1, 2]
 
 
@@ -139,14 +136,14 @@ def test_match_losers_skip_claimed_mtds():
     # RB1 loses MTD0 to RB0; its next-cheapest MTD1 is already claimed by RB2,
     # so RB1 must jump to MTD2 rather than contest MTD1.
     m = [[1.0, 2.0, 3.0], [1.1, 1.5, 6.0], [10.0, 2.1, 7.0]]
-    a = match_assignments(m)
+    a = match_matrix(m)
     assert a.rb_to_mtd == [0, 2, 1]
 
 
 def test_match_fewer_mtds_than_rbs():
-    a = match_assignments([[1.0], [2.0]])
+    a = match_matrix([[1.0], [2.0]])
     assert a.rb_to_mtd == [0, None]
-    a2 = match_assignments([[5.0, 1.0], [4.0, 2.0], [3.0, 6.0]])
+    a2 = match_matrix([[5.0, 1.0], [4.0, 2.0], [3.0, 6.0]])
     assert a2.n_assigned == 2
     assert a2.rb_to_mtd.count(None) == 1
 
@@ -155,7 +152,7 @@ def test_match_single_rb_equals_argmin():
     rng = np.random.default_rng(3)
     for _ in range(100):
         row = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 30)))
-        assert match_assignments(row[None, :]).rb_to_mtd == [select_min_interference(row)]
+        assert match_matrix(row[None, :]).rb_to_mtd == [select_min_interference(row)]
 
 
 def test_match_injective_and_complete():
@@ -164,24 +161,25 @@ def test_match_injective_and_complete():
         n = int(rng.integers(1, 21))
         k = int(rng.integers(1, 60))
         mat = rng.uniform(0.0, 1.0, size=(n, k))
-        a = match_assignments(mat)
+        a = match_matrix(mat)
         assigned = [x for x in a.rb_to_mtd if x is not None]
         assert len(assigned) == len(set(assigned))
         assert all(0 <= x < k for x in assigned)
         assert len(assigned) == min(n, k)  # K >= N -> nobody left empty
     # one wide instance like the production sweeps
     wide = np.random.default_rng(5).uniform(size=(20, 2000))
-    a = match_assignments(wide)
+    a = match_matrix(wide)
     assert a.n_assigned == 20
 
 
 def test_match_rejects_bad_matrices():
+    for bad in (np.ones((2, 2)) * -1.0, np.full((2, 2), np.inf), np.ones(3)):
+        with pytest.raises(ValueError):
+            match_matrix(bad)
+        with pytest.raises(ValueError):
+            match_assignments(bad[None])
     with pytest.raises(ValueError):
-        match_assignments(np.ones((2, 2)) * -1.0)
-    with pytest.raises(ValueError):
-        match_assignments(np.full((2, 2), np.inf))
-    with pytest.raises(ValueError):
-        match_assignments(np.ones(3))
+        match_assignments(np.ones((2, 2)))  # one matrix, not a block
     with pytest.raises(ValueError):
         match_assignments(np.ones((2, 2, 2)) * -1.0)
     with pytest.raises(ValueError):
@@ -206,7 +204,7 @@ def test_block_matcher_equals_loop_oracle(block):
     for d, matrix in enumerate(block):
         expected = [-1 if m is None else m for m in match_assignments_loop(matrix).rb_to_mtd]
         assert idx[d].tolist() == expected
-        assert match_assignments(matrix).rb_to_mtd == match_assignments_loop(matrix).rb_to_mtd
+        assert match_matrix(matrix).rb_to_mtd == match_assignments_loop(matrix).rb_to_mtd
 
 
 def test_nested_candidates_never_increase_row_minimum():
@@ -233,7 +231,7 @@ def test_oracle_beats_bad_greedy_case():
     # row minima collide; the oracle must weigh the alternatives globally
     m = np.array([[1.0, 1.2], [1.1, 9.0]])
     assert optimal_assignment_oracle(m).rb_to_mtd == [1, 0]
-    assert match_assignments(m).rb_to_mtd == [0, 1]  # greedy keeps RB0's claim
+    assert match_matrix(m).rb_to_mtd == [0, 1]  # greedy keeps RB0's claim
 
 
 def test_oracle_size_limits():
@@ -250,7 +248,7 @@ def test_greedy_never_beats_oracle_and_matches_on_unique_minima():
         n = int(rng.integers(1, 7))
         k = int(rng.integers(n, 7))
         mat = rng.uniform(0.1, 1.0, size=(n, k))
-        greedy = match_assignments(mat)
+        greedy = match_matrix(mat)
         oracle = optimal_assignment_oracle(mat)
         gt = greedy.total_interference(mat)
         ot = oracle.total_interference(mat)
@@ -276,18 +274,16 @@ def test_assignment_rejects_duplicates():
 
 
 def test_mtd_power_control_inverts_target():
-    budget = LinkBudget(p_c=0.0, p_k=0.0, n0=2e-15, i0=3e-15)
     h_k = 0.3 - 0.4j  # |h|^2 = 0.25
     target = 10 ** 0.5
-    p = float(mtd_power_control(h_k, budget, target, p_max=1e3))
+    p = float(mtd_power_control(abs(h_k) ** 2, 2e-15, 3e-15, target, p_max=1e3))
     assert p == pytest.approx(target * 5e-15 / 0.25, rel=1e-12)
     served = LinkBudget(p_c=0.0, p_k=p, n0=2e-15, i0=3e-15)
     assert float(sinr_mta(h_k, served)) == pytest.approx(target, rel=1e-12)
 
 
 def test_mtd_power_control_cap_binds():
-    budget = LinkBudget(p_c=0.0, p_k=0.0, n0=1e-15, i0=0.0)
-    p = float(mtd_power_control(1e-9 + 0j, budget, 10.0, p_max=0.2))
+    p = float(mtd_power_control(abs(1e-9 + 0j) ** 2, 1e-15, 0.0, 10.0, p_max=0.2))
     assert p == 0.2
 
 
@@ -296,7 +292,7 @@ def test_cu_power_control_hits_target_without_interference():
     h_c = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * 1e-5
     n0 = 1.1357e-15
     target = 10.0
-    p_c = float(cu_power_control(h_c, n0, target, p_max=np.inf))
+    p_c = float(cu_power_control(np.sum(np.abs(h_c) ** 2), n0, target, p_max=np.inf))
     w = mrc_weights(h_c)
     sinr = float(sinr_cellular(h_c, w, np.zeros(4), LinkBudget(p_c=p_c, p_k=0.0, n0=n0)))
     assert sinr == pytest.approx(target, rel=1e-12)
@@ -304,7 +300,7 @@ def test_cu_power_control_hits_target_without_interference():
 
 def test_cu_power_control_vectorized_cap():
     h = np.ones((3, 2), dtype=complex) * np.array([[1e-9], [1e-5], [1.0]])
-    p = cu_power_control(h, 1e-15, 10.0, p_max=0.2)
+    p = cu_power_control(np.sum(np.abs(h) ** 2, axis=-1), 1e-15, 10.0, p_max=0.2)
     assert p.shape == (3,)
     assert p[0] == 0.2  # deep fade -> cap
     assert p[2] < p[1] < 0.2
