@@ -14,7 +14,6 @@ from .montecarlo import (
     ExperimentSummary,
     experiment_outage,
     experiment_single_rb,
-    draw_chunk,
     experiment_throughput,
     run_drop,
     verify_asymptotic,
@@ -30,7 +29,6 @@ __all__ = [
     "GeometryError",
     "SimConfig",
     "cu_power_control",
-    "draw_chunk",
     "experiment_outage",
     "experiment_single_rb",
     "experiment_throughput",

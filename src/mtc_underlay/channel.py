@@ -40,7 +40,6 @@ class Deployment:
         x, y = self.mtds.T
         self._bs_d = _read_only(_hypot(x, y))
         self._mta_d = _read_only(_hypot(x - self.mta[0], y - self.mta[1]))
-        self._gains: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def n_mtds(self) -> int:
@@ -51,15 +50,6 @@ class Deployment:
 
     def mtd_mta_distances(self) -> np.ndarray:
         return self._mta_d
-
-    def mtd_gains(self, min_distance_m: float) -> tuple[np.ndarray, np.ndarray]:
-        """Mean power gains of the MTD-to-BS and MTD-to-MTA links, the MTA
-        distances floored at ``min_distance_m``; computed once per floor."""
-        if min_distance_m not in self._gains:
-            d_mta = np.maximum(self._mta_d, min_distance_m)
-            gains = linear_gain(self._bs_d, min_distance_m), linear_gain(d_mta, min_distance_m)
-            self._gains[min_distance_m] = gains
-        return self._gains[min_distance_m]
 
     def subset(self, k: int) -> "Deployment":
         """First-k slice of the MTD cluster (nested K sweeps)."""

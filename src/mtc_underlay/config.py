@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from .units import db_to_linear, dbm_to_watts
 
 POWER_MODES = ("fixed", "controlled")
 
-# fields parsed as integers; everything else numeric is a float
-_INT_FIELDS = {"antennas", "n_rb", "k", "n_drops", "seed"}
 _STR_FIELDS = {"mtd_power_mode"}
 
 
@@ -56,6 +55,8 @@ class SimConfig:
             if (isinstance(value, float) and not math.isfinite(value)
                     and (f.name, value) != ("mtd_fixed_power_dbm", -math.inf)):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.name in _INT_FIELDS and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.antennas < 1:
             raise ConfigError(f"antennas must be >= 1, got {self.antennas}")
         if self.cell_radius_m <= 0:
@@ -148,6 +149,8 @@ class SimConfig:
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(SimConfig)}
+# fields parsed and validated as integers; everything else numeric is a float
+_INT_FIELDS = {f.name for f in dataclasses.fields(SimConfig) if f.type == "int"}
 
 
 def _parse_value(key: str, raw: str, lineno: int):

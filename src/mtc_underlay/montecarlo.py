@@ -4,19 +4,23 @@ One *drop* is a single channel/CU-position realization on a fixed deployment.
 Drops come in chunks of CHUNK_DROPS consecutive drops, and each chunk owns one
 RNG substream per purpose, keyed by (seed, namespace, chunk index) only, so
 results are bit-reproducible for any worker count and any power mode shares
-the same randomness — sweeps differ only where the physics differs. A chunk
-draws its CU positions and gains at its start and runs its drops in blocks,
-each block drawing the next variates from the chunk's streams, so block size
-changes no result either. A drop draws link gains, not channels, and only
-those its outputs read: MTD-to-MTA gains only under controlled MTD power,
-random-baseline permutations only where the baseline is scored.
+the same randomness — sweeps differ only where the physics differs. All of
+the sampling happens in one place, the chunk function ``_run_chunk``: it
+draws its CU positions and gains at its start and then, block by block, the
+next variates from the chunk's streams, so block size changes no result
+either. A drop draws link gains, not channels, and only those its outputs
+read: MTD-to-MTA gains only under controlled MTD power, random-baseline
+permutations only where the baseline is scored. The drop kernel
+:func:`run_drop` draws nothing: it scores a block of drawn gains.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from .scheduler import (
 #: draws, in which order. Contract 1 drew antenna-level channels per drop,
 #: contract 2 their sufficient statistics on one substream per drop, and
 #: contract 3 the same statistics on one substream per chunk of drops and
-#: purpose (see ChunkDraws). Every run manifest records it.
+#: purpose (see _run_chunk). Every run manifest records it.
 RNG_CONTRACT = 3
 
 # substream namespaces under the root seed; a chunk's streams are keyed
@@ -59,42 +63,6 @@ BLOCK_ENTRIES = 4096
 
 def _generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
-
-
-@dataclass
-class ChunkDraws:
-    """The variates of one chunk of D drops under RNG contract 3: the CU gains
-    g_c Gamma(M, 1), ``cu_gain`` (D, N), drawn at chunk start, and the streams
-    from which the chunk's blocks, in drop order, draw their MTD-to-BS
-    projections g_k Exp(1) (d, N, K), in controlled power mode their MTD-to-MTA
-    gains g_mta Exp(1) (d, K) and, when the random baseline is scored, one MTD
-    permutation per drop. A stream a run does not read is None."""
-
-    cu_gain: np.ndarray
-    projection: np.random.Generator
-    mta: np.random.Generator | None = None
-    baseline: np.random.Generator | None = None
-
-
-def draw_chunk(
-    config: SimConfig, deployment: Deployment, chunk: int, with_baseline=False
-) -> ChunkDraws:
-    """Chunk ``chunk`` of ``config.n_drops`` drops: its streams, keyed
-    (seed, namespace, chunk), and its CU gains, drawn from the CU stream after
-    all of its CU distances. Each stream is its own sequence, so leaving out
-    the MTA stream in fixed power mode, or the baseline stream, moves no
-    other variate."""
-    n = min(CHUNK_DROPS, config.n_drops - chunk * CHUNK_DROPS)
-    cu = _generator(config.seed, _NS_CU, chunk)
-    r = sample_cu_position(config, deployment.mta, cu, n)
-    cu_gain = cu.standard_gamma(config.antennas, (n, config.n_rb))
-    cu_gain *= linear_gain(r, config.min_distance_m)[:, None]
-    return ChunkDraws(
-        cu_gain,
-        _generator(config.seed, _NS_PROJECTION, chunk),
-        _generator(config.seed, _NS_MTA, chunk) if config.mtd_power_mode == "controlled" else None,
-        _generator(config.seed, _NS_BASELINE, chunk) if with_baseline else None,
-    )
 
 
 @dataclass
@@ -132,43 +100,29 @@ def _format_cell(value) -> str:
     return f"{float(value):.9g}"
 
 
-def run_drop(
-    config: SimConfig,
-    deployment: Deployment,
-    draws: ChunkDraws,
-    block: slice = slice(None),
-) -> DropResult:
-    """Simulate a block of drops, the ``block`` of the chunk's drops (all by
-    default): fade every link, assign MTDs, score.
+def run_drop(config: SimConfig, cu_gain, bs_gain, mta_gain=None, perms=None) -> DropResult:
+    """Score a block of D drops from their drawn link gains; draws nothing.
 
-    Draws the sufficient statistics of the Rayleigh channels rather than the
-    channels: with a unit-norm MRC combiner u_n = h_c,n / ||h_c,n||, RB n's CU
-    gain ||h_c,n||^2 is g_c Gamma(M, 1) and MTD k's post-combiner gain
-    |u_n^H h_k,n|^2 is g_k Exp(1), independent of each other and across RBs
-    and MTDs. The block takes its CU gains from ``draws`` and the next
-    projections and, in controlled power mode, MTA gains from the chunk's
-    streams, so a chunk's blocks must run in drop order. Power control reads
-    the drawn gains, and everything after the draws runs once for the block.
-    With a baseline stream, a uniformly random injective assignment is scored
-    alongside on the same interference matrix.
+    The gains are the sufficient statistics of the Rayleigh channels: with a
+    unit-norm MRC combiner u_n = h_c,n / ||h_c,n||, RB n's CU gain
+    ||h_c,n||^2, ``cu_gain`` (D, N), and MTD k's post-combiner gain
+    |u_n^H h_k,n|^2, ``bs_gain`` (D, N, K). ``mta_gain`` (D, K), the
+    MTD-to-MTA gains |h_k|^2, is read only under controlled MTD power. With
+    ``perms`` (D, K), one MTD permutation per drop, the random baseline, each
+    RB n taking MTD perms[n], is scored alongside on the same interference
+    matrix. Runs power control, matching, SINR, throughput and outage once for
+    the block and writes nothing to its inputs.
     """
-    cu_gain = draws.cu_gain[block]
-    n_drops, n_rb = cu_gain.shape
-    k = deployment.n_mtds
+    n_drops, n_rb, k = np.shape(bs_gain)
     n0 = config.noise_power_w
-    g_bs, g_mta = deployment.mtd_gains(config.min_distance_m)
     # post-combiner interference in watts, (D, N, K)
-    matrix = draws.projection.standard_exponential((n_drops, n_rb, k))
-    matrix *= g_bs
     if config.mtd_power_mode == "fixed":
-        matrix *= config.mtd_fixed_power_w
+        matrix = bs_gain * config.mtd_fixed_power_w
     else:
-        mta_gain = draws.mta.standard_exponential((n_drops, k))
-        mta_gain *= g_mta
         p_mtd = mtd_power_control(
             mta_gain, n0, config.i0_w, config.mtd_target_sinr, config.p_max_w
         )
-        matrix *= p_mtd[:, None, :]
+        matrix = bs_gain * p_mtd[:, None, :]
 
     idx = match_assignments(matrix)
     p_c = cu_power_control(cu_gain, n0, config.cu_target_sinr, config.p_max_w)
@@ -183,10 +137,9 @@ def run_drop(
     sinr = signal / (eff_int + n0)
 
     baseline_bps = None
-    if draws.baseline is not None:
+    if perms is not None:
         b_idx = np.full((n_drops, n_rb), -1)
         take = min(n_rb, k)
-        perms = draws.baseline.permuted(np.tile(np.arange(k), (n_drops, 1)), axis=1)
         b_idx[:, :take] = perms[:, :take]
         baseline_bps = throughput(signal / (interference(b_idx) + n0), config.rb_bandwidth_hz)
 
@@ -205,12 +158,46 @@ def run_drop(
 # ---------------------------------------------------------------------------
 
 
-def _run_chunk(args) -> DropResult:
-    """One chunk's drops, in blocks of ``block`` drops."""
-    config, deployment, chunk, with_baseline, block = args
-    draws = draw_chunk(config, deployment, chunk, with_baseline)
-    blocks = (slice(lo, lo + block) for lo in range(0, len(draws.cu_gain), block))
-    return _concat([run_drop(config, deployment, draws, b) for b in blocks])
+def _run_chunk(
+    config: SimConfig, deployment: Deployment, chunk: int, with_baseline: bool, block: int
+) -> DropResult:
+    """Chunk ``chunk`` of ``config.n_drops`` drops, in blocks of ``block``
+    drops: the whole of RNG contract 3.
+
+    The chunk's streams are keyed (seed, namespace, chunk). The CU stream
+    draws all of the chunk's CU distances, then its CU gains g_c Gamma(M, 1).
+    Then each block, in drop order, draws its MTD-to-BS gains g_k Exp(1) from
+    the projection stream, under controlled power its MTD-to-MTA gains
+    g_mta Exp(1) from the MTA stream and, with the baseline, one MTD
+    permutation per drop from the baseline stream. Each stream is its own
+    sequence, so a stream a run does not read is never created and moves no
+    other variate.
+    """
+    n = min(CHUNK_DROPS, config.n_drops - chunk * CHUNK_DROPS)
+    n_rb, k, floor = config.n_rb, deployment.n_mtds, config.min_distance_m
+    cu = _generator(config.seed, _NS_CU, chunk)
+    r = sample_cu_position(config, deployment.mta, cu, n)
+    cu_gain = cu.standard_gamma(config.antennas, (n, n_rb))
+    cu_gain *= linear_gain(r, floor)[:, None]
+    g_bs = linear_gain(deployment.mtd_bs_distances(), floor)
+    g_mta = linear_gain(np.maximum(deployment.mtd_mta_distances(), floor), floor)
+    projection = _generator(config.seed, _NS_PROJECTION, chunk)
+    controlled = config.mtd_power_mode == "controlled"
+    mta = _generator(config.seed, _NS_MTA, chunk) if controlled else None
+    baseline = _generator(config.seed, _NS_BASELINE, chunk) if with_baseline else None
+    parts = []
+    for lo in range(0, n, block):
+        d = min(block, n - lo)
+        bs_gain = projection.standard_exponential((d, n_rb, k))
+        bs_gain *= g_bs
+        mta_gain = perms = None
+        if controlled:
+            mta_gain = mta.standard_exponential((d, k))
+            mta_gain *= g_mta
+        if with_baseline:
+            perms = baseline.permuted(np.tile(np.arange(k), (d, 1)), axis=1)
+        parts.append(run_drop(config, cu_gain[lo:lo + d], bs_gain, mta_gain, perms))
+    return _concat(parts)
 
 
 def _concat(parts: list[DropResult]) -> DropResult:
@@ -221,7 +208,9 @@ def _concat(parts: list[DropResult]) -> DropResult:
 
 def _pool(workers: int):
     """A process pool for a whole experiment; None (serial) at one worker."""
-    if workers <= 1:
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    if workers == 1:
         return nullcontext()
     from concurrent.futures import ProcessPoolExecutor
 
@@ -234,8 +223,8 @@ def _run_drops(config: SimConfig, deployment: Deployment, pool, with_baseline=Fa
     # sized here and sent with each task, so every worker uses the same blocks
     block = max(1, BLOCK_ENTRIES // (config.n_rb * deployment.n_mtds))
     chunks = range(-(-config.n_drops // CHUNK_DROPS))
-    tasks = [(config, deployment, c, with_baseline, block) for c in chunks]
-    return _concat(list((map if pool is None else pool.map)(_run_chunk, tasks)))
+    args = repeat(config), repeat(deployment), chunks, repeat(with_baseline), repeat(block)
+    return _concat(list((map if pool is None else pool.map)(_run_chunk, *args)))
 
 
 def _sweep(points: list[SimConfig], row, workers: int = 1, with_baseline=False) -> list[tuple]:
@@ -270,10 +259,11 @@ def _median(values: np.ndarray) -> float:
 
 
 def _check_k_values(k_values) -> list[int]:
-    ks = [int(k) for k in k_values]
-    if not ks or any(k < 1 for k in ks) or sorted(set(ks)) != ks:
+    ks = list(k_values)
+    if (not ks or not all(isinstance(k, numbers.Integral) and k >= 1 for k in ks)
+            or sorted(set(ks)) != ks):
         raise ValueError(f"k_values must be ascending unique positive integers, got {k_values}")
-    return ks
+    return [int(k) for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -371,32 +361,23 @@ def experiment_outage(config: SimConfig, k_values, workers: int = 1) -> Experime
     )
 
 
-def verify_asymptotic(
-    config: SimConfig,
-    k_values,
-    delta_i: float | None = None,
-    n_samples: int | None = None,
-) -> ExperimentSummary:
+def verify_asymptotic(config: SimConfig, k_values) -> ExperimentSummary:
     """Check the min-interference order statistic against its product form.
 
     With all K MTD channels i.i.d. at one BS distance (the MTD cluster
-    radius), the probability that the quietest MTD projects below ``delta_i``
-    on the serving direction obeys P(X_min < delta_i) = 1 - (1 - Phi(delta_i))^K,
-    Phi being the single-MTD CDF. Monte Carlo estimates (nested prefix minima, hence monotone in K) are
-    returned next to the closed form at the analytic Phi(delta_i) =
-    1 - exp(-delta_i / g): a projection onto a unit-norm direction is g Exp(1).
-    The samples are full antenna vectors, so the empirical column is an
-    independent check of that law, on which ``run_drop`` relies.
+    radius), the probability that the quietest MTD projects below delta_I
+    (``config.delta_i_dbm``) on the serving direction obeys
+    P(X_min < delta_I) = 1 - (1 - Phi(delta_I))^K, Phi being the single-MTD
+    CDF. Monte Carlo estimates over ``config.n_drops`` samples (nested prefix
+    minima, hence monotone in K) are returned next to the closed form at the
+    analytic Phi(delta_I) = 1 - exp(-delta_I / g): a projection onto a
+    unit-norm direction is g Exp(1). The samples are full antenna vectors, so
+    the empirical column is an independent check of that law, on which the
+    drop engine relies.
     """
     config.validate()
     ks = _check_k_values(k_values)
-    delta = config.delta_i_w if delta_i is None else float(delta_i)
-    n = int(n_samples) if n_samples is not None else config.n_drops
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"delta_i must be finite and nonnegative, got {delta_i}")
-    if n < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    m = config.antennas
+    delta, n, m = config.delta_i_w, config.n_drops, config.antennas
     g = float(linear_gain(config.mta_cluster_radius_m, config.min_distance_m))
     rng = _generator(config.seed, _NS_ASYMPTOTIC)
 

@@ -2,10 +2,11 @@
 
 ``run_drop_vector`` is the vector-channel drop engine: it draws every
 antenna-level Rayleigh channel, builds unit-norm MRC combiners and projects
-each MTD channel onto them. ``mtc_underlay.run_drop`` draws only the
-sufficient statistics of those channels (||h_c||^2 ~ g_c Gamma(M, 1) and
-|u^H h_k|^2 ~ g_k Exp(1)); ``tests/test_equivalence.py`` checks that both
-engines give the same output distributions.
+each MTD channel onto them. The package's engine draws only the sufficient
+statistics of those channels (||h_c||^2 ~ g_c Gamma(M, 1) and |u^H h_k|^2 ~
+g_k Exp(1)) and scores them with ``mtc_underlay.run_drop``;
+``tests/test_equivalence.py`` checks that both engines give the same output
+distributions.
 
 ``match_assignments_loop`` is the matching rounds as a Python loop over one
 drop's RBs; ``mtc_underlay.match_assignments`` runs the same rounds on a
@@ -15,6 +16,10 @@ matrix, returning an :class:`Assignment`. ``optimal_assignment_oracle``
 enumerates every assignment, the optimum the greedy rounds are measured
 against, and ``select_min_interference`` is one RB's pick, the argmin of its
 row.
+
+``single_rb_outage_fixed`` is the CU outage on one shared RB under fixed MTD
+power, exact by quadrature; ``holm_rejected`` is the family-wise rule of the
+tests that compare the engine with such references.
 
 ``sample_deployment_scalar`` and ``sample_cu_position_scalar`` place nodes one
 candidate at a time, as :class:`Position` objects; the runtime samplers place
@@ -412,7 +417,7 @@ def optimal_assignment_oracle(matrix) -> Assignment:
 def run_drop_vector(config: SimConfig, deployment: Deployment, rngs, baseline_rngs=None) -> DropResult:
     """The vector-channel engine on a block of drops, one generator per drop
     (the per-drop streams of RNG contract 2), results stacked drop axis first.
-    It shares no sampling code with ``run_drop``: it places its CUs with
+    It shares no sampling code with the package's engine: it places its CUs with
     :func:`sample_cu_position_scalar`."""
     b_rngs = [None] * len(rngs) if baseline_rngs is None else baseline_rngs
     drops = [_vector_drop(config, deployment, r, b) for r, b in zip(rngs, b_rngs)]
@@ -521,3 +526,75 @@ def vector_channel_statistics(
     cu_gain = np.sum(np.abs(h_c) ** 2, axis=-1) / g_c
     proj = np.abs(np.einsum("nm,nkm->nk", w, h_kb)) ** 2 / g_k
     return cu_gain, proj
+
+
+# --- analytic single-RB outage --------------------------------------------------
+
+
+def single_rb_outage_fixed(config: SimConfig, deployment: Deployment) -> float:
+    """CU outage probability on one shared RB under fixed MTD power, exactly,
+    by quadrature; for a cell without the CU keep-out disk around the MTA
+    (``cu_mta_exclusion_m`` = 0).
+
+    The scheduler gives the RB the MTD of least interference, I = min_k p g_k
+    E_k with E_k ~ Exp(1) independent, so I ~ Exp(Lambda), Lambda =
+    sum_k 1 / (p g_k) (competing exponentials; Lambda = inf at p = 0 W). The
+    power-controlled CU signal is S = min(p_max g_c(r) G, T n0), G ~ Gamma(M, 1),
+    the CU distance r having density 2r / (R^2 - d0^2) on [d0, R]. The CU is
+    in outage when S / (I + n0) <= delta_th, so
+
+        P_out = E[exp(-Lambda max(0, S / delta_th - n0))],
+
+    taken over G in closed form where S / delta_th <= n0 or S = T n0, and by
+    quadrature in between and over r. Path loss is written out from the model,
+    128.1 + 36.7 log10(d / 1 km) dB, so no gain or sampling code is shared
+    with the engine.
+    """
+    from scipy import integrate, special
+
+    if config.cu_mta_exclusion_m != 0 or config.mtd_power_mode != "fixed":
+        raise ValueError("the oracle covers fixed MTD power without a CU exclusion disk")
+
+    def gain(d):
+        return 10.0 ** (-(128.1 + 36.7 * np.log10(np.asarray(d) / 1000.0)) / 10.0)
+
+    n0, dth, t, m = config.noise_power_w, config.delta_th, config.cu_target_sinr, config.antennas
+    p = config.mtd_fixed_power_w
+    lam = math.inf if p == 0.0 else float(np.sum(1.0 / (p * gain(deployment.mtd_bs_distances()))))
+    x_cap = max(0.0, t * n0 / dth - n0)  # I the CU tolerates once S = T n0
+    log_gamma_m = math.lgamma(m)
+
+    def given_r(r: float) -> float:
+        a = config.p_max_w * float(gain(r))
+        lo = dth * n0 / a  # G <= lo: in outage whatever I
+        hi = max(lo, t * n0 / a)  # G >= hi: S = T n0
+        tail = special.gammaincc(m, hi)
+        if math.isinf(lam):
+            return special.gammainc(m, lo) + (x_cap == 0.0) * tail
+        c = lam * a / dth
+
+        def density(g):  # exp(-Lambda (a g / delta_th - n0)) times the Gamma(M, 1) density
+            return math.exp(-c * (g - lo) + (m - 1) * math.log(g) - g - log_gamma_m)
+
+        middle = integrate.quad(density, lo, hi, limit=200)[0] if hi > lo else 0.0
+        return special.gammainc(m, lo) + middle + math.exp(-lam * x_cap) * tail
+
+    big_r, d0 = config.cell_radius_m, config.min_distance_m
+    value, _ = integrate.quad(
+        lambda r: 2.0 * r / (big_r**2 - d0**2) * given_r(r), d0, big_r, limit=200
+    )
+    return value
+
+
+def holm_rejected(p_values: dict, alpha: float) -> set:
+    """Keys of the hypotheses Holm's step-down procedure (Holm, Scand. J.
+    Statist. 6, 1979) rejects at family-wise level ``alpha``: the i-th smallest
+    of m p-values is rejected while it and all smaller ones are at most
+    alpha / (m - i), i from 0."""
+    ordered = sorted(p_values, key=p_values.get)
+    rejected = set()
+    for i, key in enumerate(ordered):
+        if p_values[key] > alpha / (len(ordered) - i):
+            break
+        rejected.add(key)
+    return rejected

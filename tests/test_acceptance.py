@@ -152,9 +152,11 @@ def test_criterion_5_min_statistic_product_form():
     cfg = SimConfig()
     t0 = time.perf_counter()
     # rows are (k, p_empirical, p_closed_form)
-    _, small_emp, small_closed = zip(*verify_asymptotic(cfg, [1, 2, 5, 10], n_samples=100_000).rows)
+    small = verify_asymptotic(replace(cfg, n_drops=100_000), [1, 2, 5, 10])
+    _, small_emp, small_closed = zip(*small.rows)
     diffs = [abs(e - c) for e, c in zip(small_emp, small_closed)]
-    _, large_emp, _ = zip(*verify_asymptotic(cfg, [1, 10, 100, 1000, 10000], n_samples=5000).rows)
+    large = verify_asymptotic(replace(cfg, n_drops=5000), [1, 10, 100, 1000, 10000])
+    _, large_emp, _ = zip(*large.rows)
     dt = time.perf_counter() - t0
     monotone = all(b >= a for a, b in zip(small_emp, small_emp[1:])) and all(
         b >= a for a, b in zip(large_emp, large_emp[1:])

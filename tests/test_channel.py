@@ -165,19 +165,6 @@ def test_deployment_subset_is_nested():
         dep.subset(0)
 
 
-def test_deployment_mtd_gains_cached_per_floor():
-    dep = sample_deployment(SimConfig(k=50), np.random.default_rng(1))
-    g_bs, g_mta = dep.mtd_gains(10.0)
-    np.testing.assert_array_equal(g_bs, linear_gain(dep.mtd_bs_distances(), 10.0))
-    floored = np.maximum(dep.mtd_mta_distances(), 10.0)
-    np.testing.assert_array_equal(g_mta, linear_gain(floored, 10.0))
-    assert dep.mtd_gains(10.0)[0] is g_bs  # computed once
-    # a larger floor lifts MTA distances below it, and is cached on its own
-    _, g_mta_far = dep.mtd_gains(40.0)
-    np.testing.assert_array_equal(g_mta_far, linear_gain(np.maximum(floored, 40.0), 40.0))
-    assert dep.mtd_gains(10.0)[1] is g_mta
-
-
 @pytest.mark.parametrize(
     "cfg, seeds",
     [

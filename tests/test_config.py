@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from mtc_underlay import ConfigError, SimConfig, parse_config_text, serialize_config
@@ -113,6 +114,7 @@ def test_duplicate_key_rejected():
         "n_rb = 0",
         "antennas = 0",
         "n_drops = 0",
+        "n_drops = -3",
         "cell_radius_m = -1",
         "min_distance_m = 0",
         "min_distance_m = 600",  # >= cell radius
@@ -125,6 +127,21 @@ def test_duplicate_key_rejected():
 def test_out_of_range_values_rejected(text):
     with pytest.raises(ConfigError):
         parse_config_text(text)
+
+
+@pytest.mark.parametrize("key", ["antennas", "n_rb", "k", "n_drops", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+def test_integer_fields_reject_non_integers(key, value):
+    # antennas = 2.5 would draw Gamma(2.5) CU gains; n_drops = 10.5 fails deep in the run
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        SimConfig(**{key: value}).validate()
+
+
+def test_integer_fields_accept_numpy_integers():
+    cfg = SimConfig(antennas=np.int64(2), n_rb=np.int32(3), k=np.int16(5), n_drops=np.uint8(7),
+                    seed=np.uint64(2**63 + 1))
+    cfg.validate()
+    assert parse_config_text(serialize_config(cfg)) == cfg
 
 
 _FLOAT_FIELDS = [

@@ -1,13 +1,13 @@
 """Statistical equivalence of the drop kernel and the vector-channel engine.
 
-``mtc_underlay.run_drop`` draws the sufficient statistics of the Rayleigh
-channels; ``oracles.run_drop_vector`` draws the antenna-level channels and
-combines them. On a fixed deployment, with the engines on disjoint seeds, their
-outputs must agree in distribution, and the oracle's own statistics must follow
-the laws the kernel samples from. The kernel runs as the experiments run it,
-on the chunk streams of RNG contract 3; the oracle keeps one stream per drop
-and its own one-candidate-at-a-time CU sampler, so it shares no sampling code
-with the kernel.
+The drop kernel scores the sufficient statistics of the Rayleigh channels,
+drawn chunk by chunk; ``oracles.run_drop_vector`` draws the antenna-level
+channels and combines them. On a fixed deployment, with the engines on
+disjoint seeds, their outputs must agree in distribution, and the oracle's
+own statistics must follow the laws the kernel samples from. The kernel runs
+as the experiments run it, on the chunk streams of RNG contract 3; the oracle
+keeps one stream per drop and its own one-candidate-at-a-time CU sampler, so
+it shares no sampling code with the kernel.
 
 All comparisons of all configurations form one family of hypotheses, tested
 with Holm's step-down procedure (Holm, Scand. J. Statist. 6, 1979) at
@@ -33,7 +33,7 @@ from scipy import stats
 
 from mtc_underlay import SimConfig, sample_deployment
 from mtc_underlay.montecarlo import _NS_DEPLOYMENT, _concat, _generator, _run_drops
-from oracles import run_drop_vector, vector_channel_statistics
+from oracles import holm_rejected, run_drop_vector, vector_channel_statistics
 
 #: root seeds of the deployment and of each engine's drops (disjoint streams)
 _DEPLOYMENT_SEED, _KERNEL_SEED, _ORACLE_SEED = 1, 2, 3
@@ -79,19 +79,6 @@ def _z_test_p(a: np.ndarray, b: np.ndarray) -> float:
     se = math.sqrt(np.var(a, ddof=1) / a.size + np.var(b, ddof=1) / b.size)
     diff = abs(float(np.mean(a) - np.mean(b)))
     return 1.0 if diff == 0.0 else math.erfc(diff / se / math.sqrt(2.0))
-
-
-def holm_rejected(p_values: dict, alpha: float) -> set:
-    """Keys of the hypotheses Holm's step-down procedure rejects at
-    family-wise level ``alpha``: the i-th smallest of m p-values is rejected
-    while it and all smaller ones are at most alpha / (m - i), i from 0."""
-    ordered = sorted(p_values, key=p_values.get)
-    rejected = set()
-    for i, key in enumerate(ordered):
-        if p_values[key] > alpha / (len(ordered) - i):
-            break
-        rejected.add(key)
-    return rejected
 
 
 def compare_engines(cfg: SimConfig, deployment, n_drops: int, with_baseline=False) -> dict:

@@ -9,9 +9,9 @@ import pytest
 
 from mtc_underlay import (
     ConfigError,
+    Deployment,
     DropResult,
     SimConfig,
-    draw_chunk,
     experiment_outage,
     experiment_single_rb,
     experiment_throughput,
@@ -21,6 +21,7 @@ from mtc_underlay import (
     verify_asymptotic,
 )
 from mtc_underlay import montecarlo
+from oracles import holm_rejected, single_rb_outage_fixed
 
 DATA = Path(__file__).parent / "data"
 
@@ -29,7 +30,7 @@ def _drop(cfg, seed=0, drop_seed=1):
     """One drop, as a block of one: the one-drop chunk of root seed ``drop_seed``."""
     cfg = replace(cfg, n_drops=1, seed=drop_seed)
     dep = sample_deployment(cfg, np.random.default_rng(seed))
-    return run_drop(cfg, dep, draw_chunk(cfg, dep, 0))
+    return montecarlo._run_chunk(cfg, dep, 0, False, 1)
 
 
 def test_run_drop_shapes_and_ranges():
@@ -65,12 +66,60 @@ def test_block_equals_its_drops_one_at_a_time(mode, n_rb, k):
     # a block is scored at once; every drop in it must come out as if alone
     cfg = SimConfig(k=k, n_rb=n_rb, mtd_power_mode=mode, seed=5, n_drops=6)
     dep = sample_deployment(cfg, np.random.default_rng(2))
-    block = run_drop(cfg, dep, draw_chunk(cfg, dep, 0, with_baseline=True))
-    draws = draw_chunk(cfg, dep, 0, with_baseline=True)
-    singles = [run_drop(cfg, dep, draws, slice(i, i + 1)) for i in range(6)]
+    block = montecarlo._run_chunk(cfg, dep, 0, True, 6)
+    singles = montecarlo._run_chunk(cfg, dep, 0, True, 1)
     for f in fields(DropResult):
-        stacked = np.concatenate([getattr(d, f.name) for d in singles])
-        np.testing.assert_array_equal(getattr(block, f.name), stacked, err_msg=f.name)
+        np.testing.assert_array_equal(getattr(block, f.name), getattr(singles, f.name), err_msg=f.name)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def test_run_drop_scores_hand_written_gains():
+    # two drops, three RBs, two MTDs (K < N). Drop 0, round 1: every RB claims
+    # MTD 0 and RB 0 hears it lowest; round 2: RBs 1 and 2 claim MTD 1 and RB
+    # 1 wins; RB 2 finds both MTDs taken and carries none. Drop 1 mirrors the
+    # MTDs. The baseline puts MTD perms[n] on RB n and leaves RB 2 empty too.
+    cfg = SimConfig(n_rb=3)  # MTDs at the default 0 dBm
+    n0, p = cfg.noise_power_w, cfg.mtd_fixed_power_w
+    cu_gain = np.array([[1e-12, 2e-12, 4e-12], [3e-13, 1e-11, 5e-12]])
+    bs_gain = np.array([[[1.0, 5.0], [2.0, 3.0], [4.0, 6.0]],
+                        [[5.0, 1.0], [3.0, 2.0], [6.0, 4.0]]]) * 1e-12
+    perms = np.array([[1, 0], [0, 1]])
+    _read_only(cu_gain, bs_gain, perms)  # the kernel writes nothing to its inputs
+    d = run_drop(cfg, cu_gain, bs_gain, perms=perms)
+
+    assert d.selected_mtd.tolist() == [[0, 1, -1], [1, 0, -1]]
+    interference = np.array([[1.0, 3.0, 0.0], [1.0, 3.0, 0.0]]) * 1e-12 * p
+    np.testing.assert_array_equal(d.eff_interference_w, interference)
+    signal = np.minimum(cfg.p_max_w, cfg.cu_target_sinr * n0 / cu_gain) * cu_gain
+    sinr = signal / (interference + n0)
+    np.testing.assert_array_equal(d.sinr_db, 10.0 * np.log10(sinr))
+    np.testing.assert_array_equal(d.outage, sinr <= cfg.delta_th)
+    rate = cfg.rb_bandwidth_hz * np.log2(1.0 + sinr)
+    np.testing.assert_allclose(d.throughput_bps, rate.sum(axis=1), rtol=1e-15)
+    # baseline: drop 0 puts MTDs 1, 0 on RBs 0, 1; drop 1 puts MTDs 0, 1
+    base_int = np.array([[5.0, 2.0, 0.0], [5.0, 2.0, 0.0]]) * 1e-12 * p
+    base_rate = cfg.rb_bandwidth_hz * np.log2(1.0 + signal / (base_int + n0))
+    np.testing.assert_allclose(d.baseline_throughput_bps, base_rate.sum(axis=1), rtol=1e-15)
+    assert run_drop(cfg, cu_gain, bs_gain).baseline_throughput_bps is None
+
+
+def test_run_drop_controlled_power_reads_mta_gains():
+    # MTD power min(p_max, T_m (i0 + n0) / g_mta) weights the BS gains: MTD 0
+    # is the quieter at the BS but, far from its MTA, transmits 100x louder
+    cfg = SimConfig(n_rb=1, mtd_power_mode="controlled")
+    target = cfg.mtd_target_sinr * (cfg.i0_w + cfg.noise_power_w)
+    mta_gain = np.array([[target / 1e-4, target / 1e-6]])  # powers 100 uW and 1 uW
+    bs_gain = np.array([[[1e-10, 1e-9]]])
+    cu_gain = np.array([[1e-12]])
+    _read_only(cu_gain, bs_gain, mta_gain)
+    d = run_drop(cfg, cu_gain, bs_gain, mta_gain)
+    assert d.selected_mtd.tolist() == [[1]]
+    p_mtd = np.minimum(cfg.p_max_w, target / mta_gain)
+    np.testing.assert_array_equal(d.eff_interference_w, [[1e-9 * p_mtd[0, 1]]])
 
 
 def test_run_drop_fewer_mtds_than_rbs():
@@ -177,6 +226,19 @@ def test_k_values_must_be_ascending_unique():
         experiment_single_rb(cfg, [], [0.0])
 
 
+@pytest.mark.parametrize("k_values", [[1.5, 2.7], [1, 2.0], [0, 3]])
+def test_k_values_must_be_positive_integers(k_values):
+    # int() would truncate 1.5 and 2.7 to rows labelled k = 1, 2
+    with pytest.raises(ValueError, match="k_values"):
+        experiment_throughput(SimConfig(n_drops=10), k_values)
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5])
+def test_workers_must_be_positive_integer(workers):
+    with pytest.raises(ValueError, match="workers"):
+        experiment_outage(SimConfig(n_drops=10), [1], workers=workers)
+
+
 def test_throughput_schema_and_target_column():
     cfg = SimConfig(n_drops=30)
     s = experiment_throughput(cfg, [2, 25])
@@ -248,6 +310,40 @@ def test_outage_matches_quadrature_oracle_without_interference():
     assert abs(estimate - oracle) < 4.0 * sigma + 1e-6
 
 
+#: family-wise error rate of the outage-oracle comparison, fixed before any result
+_ORACLE_ALPHA = 0.05
+
+
+def _wilson_score_p(outages: int, n: int, p0: float) -> float:
+    """Two-sided p-value of the score test behind the Wilson interval (Wilson,
+    JASA 22, 1927): the observed rate against ``p0`` over the null standard error."""
+    z = (outages / n - p0) / math.sqrt(p0 * (1.0 - p0) / n)
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def test_fixed_power_outage_matches_single_rb_law():
+    # The engine's outage rate on one RB against the exact law on the same
+    # deployment (oracles.single_rb_outage_fixed), over MTD powers and K, all
+    # cells one Holm family. At this deployment the outage runs from 0.63
+    # (0 dBm, K = 1) to about 1e-10 (MTDs off or far below the CU): a cell
+    # with expected count n p0 << 1 fails on any outage at all. The exact
+    # family-wise error of the score test over these 12 binomial cells is
+    # 0.043, below _ORACLE_ALPHA.
+    cfg = SimConfig(cu_mta_exclusion_m=0.0, n_drops=20_000)
+    ks = [1, 3, 10, 30]
+    rng = montecarlo._generator(cfg.seed, montecarlo._NS_DEPLOYMENT)
+    full = sample_deployment(replace(cfg, k=ks[-1]), rng)  # the deployment the sweep samples
+    p_values, table = {}, []
+    for power in (0.0, -10.0, -math.inf):
+        point = replace(cfg, mtd_fixed_power_dbm=power)
+        for k, _, rate in experiment_outage(point, ks).rows:
+            p0 = single_rb_outage_fixed(replace(point, n_rb=1, k=k), full.subset(k))
+            outages = round(rate * cfg.n_drops)
+            p_values[(power, k)] = _wilson_score_p(outages, cfg.n_drops, p0)
+            table.append((power, k, rate, p0))
+    assert not holm_rejected(p_values, _ORACLE_ALPHA), table
+
+
 # --- order-statistics check -----------------------------------------------------
 
 
@@ -272,9 +368,9 @@ def test_asymptotic_estimates_monotone_and_bounded():
 
 
 def test_asymptotic_deterministic_and_validates_k():
-    cfg = SimConfig(n_drops=500)
-    a = verify_asymptotic(cfg, [1, 4], delta_i=2e-13)
-    b = verify_asymptotic(cfg, [1, 4], delta_i=2e-13)
+    cfg = SimConfig(n_drops=500, delta_i_dbm=-97.0)
+    a = verify_asymptotic(cfg, [1, 4])
+    b = verify_asymptotic(cfg, [1, 4])
     assert a == b
     with pytest.raises(ValueError):
         verify_asymptotic(cfg, [4, 1])
@@ -282,20 +378,21 @@ def test_asymptotic_deterministic_and_validates_k():
 
 @pytest.mark.parametrize("n_samples", [0, -3])
 def test_asymptotic_rejects_no_samples(n_samples):
-    with pytest.raises(ValueError, match="n_samples"):
-        verify_asymptotic(SimConfig(n_drops=10), [1], n_samples=n_samples)
+    # the sample count is config.n_drops
+    with pytest.raises(ConfigError, match="n_drops"):
+        verify_asymptotic(SimConfig(n_drops=n_samples), [1])
 
 
-@pytest.mark.parametrize("delta_i", [math.nan, math.inf, -1e-13])
+@pytest.mark.parametrize("delta_i", [math.nan, math.inf])
 def test_asymptotic_rejects_bad_threshold(delta_i):
-    with pytest.raises(ValueError, match="delta_i"):
-        verify_asymptotic(SimConfig(n_drops=10), [1], delta_i=delta_i)
+    with pytest.raises(ConfigError, match="delta_i_dbm"):
+        verify_asymptotic(SimConfig(n_drops=10, delta_i_dbm=delta_i), [1])
 
 
 def test_asymptotic_threshold_override_moves_phi():
     cfg = SimConfig(n_drops=2000)
-    low = verify_asymptotic(cfg, [1], delta_i=1e-14)
-    high = verify_asymptotic(cfg, [1], delta_i=1e-12)
+    low = verify_asymptotic(replace(cfg, delta_i_dbm=-110.0), [1])
+    high = verify_asymptotic(replace(cfg, delta_i_dbm=-90.0), [1])
     assert low.manifest["phi_at_delta_i"] < high.manifest["phi_at_delta_i"]
 
 
@@ -355,37 +452,85 @@ def test_block_size_and_workers_do_not_change_csv(run, monkeypatch):
     assert run(2).to_csv_text() == reference
 
 
-def test_chunk_streams_depend_only_on_seed_and_chunk():
+def _record_chunk(monkeypatch, cfg, dep, chunk, with_baseline, block):
+    """Run one chunk; return the keys ``_generator`` was called with and the
+    arrays each ``run_drop`` call received, concatenated over the blocks."""
+    keys, calls = [], []
+    generator, kernel = montecarlo._generator, montecarlo.run_drop
+
+    def recording_generator(seed, *key):
+        keys.append((seed, *key))
+        return generator(seed, *key)
+
+    def recording_kernel(config, *gains):
+        calls.append(gains)
+        return kernel(config, *gains)
+
+    monkeypatch.setattr(montecarlo, "_generator", recording_generator)
+    monkeypatch.setattr(montecarlo, "run_drop", recording_kernel)
+    montecarlo._run_chunk(cfg, dep, chunk, with_baseline, block)
+    monkeypatch.undo()
+    gains = [None if g[0] is None else np.concatenate(g) for g in zip(*calls)]
+    return keys, dict(zip(["cu", "bs", "mta", "perms"], gains))
+
+
+def test_chunk_streams_depend_only_on_seed_and_chunk(monkeypatch):
     # chunk c's draws are a pure function of (seed, namespace, c): its drops
     # come out the same whether the run starts at drop 0 or at the chunk
     size = montecarlo.CHUNK_DROPS
     cfg = SimConfig(k=30, n_rb=4, n_drops=2 * size, mtd_power_mode="controlled")
     dep = sample_deployment(cfg, np.random.default_rng(3))
     whole = montecarlo._run_drops(cfg, dep, None, with_baseline=True)
-    alone = montecarlo._run_chunk((cfg, dep, 1, True, 1))  # drops [256, 512), one per block
+    alone = montecarlo._run_chunk(cfg, dep, 1, True, 1)  # drops [256, 512), one per block
     for f in fields(DropResult):
         np.testing.assert_array_equal(
             getattr(alone, f.name), getattr(whole, f.name)[size:], err_msg=f.name
         )
     assert not np.array_equal(whole.sinr_db[:size], whole.sinr_db[size:])
-    # a different chunk or seed: different CU draws and differently seeded streams
-    ref = draw_chunk(cfg, dep, 1, with_baseline=True)
+    # the streams are keyed (seed, namespace, chunk), one per namespace, and
+    # a different chunk or seed draws different gains from every stream
+    keys, ref = _record_chunk(monkeypatch, cfg, dep, 1, True, 8)
+    namespaces = [montecarlo._NS_CU, montecarlo._NS_PROJECTION, montecarlo._NS_MTA,
+                  montecarlo._NS_BASELINE]
+    assert sorted(keys) == sorted((cfg.seed, ns, 1) for ns in namespaces)
     other_seed = replace(cfg, seed=cfg.seed + 1)
-    for other in (draw_chunk(cfg, dep, 0, True), draw_chunk(other_seed, dep, 1, True)):
-        assert not np.array_equal(other.cu_gain, ref.cu_gain)
-        for stream in ("projection", "mta", "baseline"):
-            state = getattr(other, stream).bit_generator.state
-            assert state != getattr(ref, stream).bit_generator.state, stream
+    for other_cfg, chunk in ((cfg, 0), (other_seed, 1)):
+        _, other = _record_chunk(monkeypatch, other_cfg, dep, chunk, True, 8)
+        for stream, gains in other.items():
+            assert not np.array_equal(gains, ref[stream]), stream
 
 
-def test_fixed_power_chunk_has_no_mta_stream():
+def test_chunk_draws_floored_link_gains_in_stream_order(monkeypatch):
+    # the gains run_drop receives are the chunk streams' variates, in drop
+    # order, times the mean gains; an MTD 5 m from its MTA (below the 10 m
+    # path-loss floor) sees the MTA at the floor distance
+    mta = (200.0, 0.0)
+    dep = Deployment(mta=mta, mtds=np.array([[200.0, 5.0], [150.0, 60.0], [-80.0, 300.0]]))
+    cfg = SimConfig(k=3, n_rb=2, n_drops=7, mtd_power_mode="controlled", seed=11)
+    _, got = _record_chunk(monkeypatch, cfg, dep, 0, False, 2)
+    floored = np.maximum(dep.mtd_mta_distances(), cfg.min_distance_m)
+    assert dep.mtd_mta_distances()[0] == 5.0 and floored[0] == cfg.min_distance_m
+    g_mta = linear_gain(floored, cfg.min_distance_m)
+    g_bs = linear_gain(dep.mtd_bs_distances(), cfg.min_distance_m)
+    mta_draws = montecarlo._generator(cfg.seed, montecarlo._NS_MTA, 0).standard_exponential((7, 3))
+    proj = montecarlo._generator(cfg.seed, montecarlo._NS_PROJECTION, 0)
+    bs_draws = proj.standard_exponential((7, 2, 3))
+    np.testing.assert_array_equal(got["mta"], mta_draws * g_mta)
+    np.testing.assert_array_equal(got["bs"], bs_draws * g_bs)
+    assert got["perms"] is None
+
+
+def test_fixed_power_chunk_has_no_mta_stream(monkeypatch):
     # fixed MTD power reads no MTD-to-MTA gain; the streams both modes read
     # are the same, so the modes stay paired
     cfg = SimConfig(k=30, n_rb=4, n_drops=10)
     dep = sample_deployment(cfg, np.random.default_rng(3))
-    fixed = draw_chunk(cfg, dep, 0)
-    controlled = draw_chunk(replace(cfg, mtd_power_mode="controlled"), dep, 0)
-    assert fixed.mta is None and fixed.baseline is None
-    assert controlled.mta is not None
-    np.testing.assert_array_equal(fixed.cu_gain, controlled.cu_gain)
-    assert fixed.projection.bit_generator.state == controlled.projection.bit_generator.state
+    fixed_keys, fixed = _record_chunk(monkeypatch, cfg, dep, 0, False, 4)
+    controlled_cfg = replace(cfg, mtd_power_mode="controlled")
+    controlled_keys, controlled = _record_chunk(monkeypatch, controlled_cfg, dep, 0, False, 4)
+    assert {k[1] for k in fixed_keys} == {montecarlo._NS_CU, montecarlo._NS_PROJECTION}
+    assert {k[1] for k in controlled_keys} == {k[1] for k in fixed_keys} | {montecarlo._NS_MTA}
+    assert fixed["mta"] is None and fixed["perms"] is None
+    assert controlled["mta"] is not None
+    np.testing.assert_array_equal(fixed["cu"], controlled["cu"])
+    np.testing.assert_array_equal(fixed["bs"], controlled["bs"])
