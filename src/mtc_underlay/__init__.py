@@ -19,7 +19,7 @@ from .montecarlo import (
     verify_asymptotic,
 )
 from .phy import outage_indicator, throughput
-from .scheduler import cu_power_control, match_assignments, mtd_power_control
+from .scheduler import Race, cu_power_control, match_assignments, mtd_power_control
 
 __all__ = [
     "ConfigError",
@@ -27,6 +27,7 @@ __all__ = [
     "DropResult",
     "ExperimentSummary",
     "GeometryError",
+    "Race",
     "SimConfig",
     "cu_power_control",
     "experiment_outage",

@@ -77,6 +77,8 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("empty list")
     if any(math.isnan(v) or v == math.inf for v in values):
         raise argparse.ArgumentTypeError(f"powers must be numbers or -inf (off), got {text!r}")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"powers must be distinct, got {text!r}")
     return values
 
 

@@ -3,15 +3,15 @@
 One *drop* is a single channel/CU-position realization on a fixed deployment.
 Drops come in chunks of CHUNK_DROPS consecutive drops, and each chunk owns one
 RNG substream per purpose, keyed by (seed, namespace, chunk index) only, so
-results are bit-reproducible for any worker count and any power mode shares
-the same randomness — sweeps differ only where the physics differs. All of
-the sampling happens in one place, the chunk function ``_run_chunk``: it
-draws its CU positions and gains at its start and then, block by block, the
-next variates from the chunk's streams, so block size changes no result
-either. A drop draws link gains, not channels, and only those its outputs
-read: MTD-to-MTA gains only under controlled MTD power, random-baseline
-permutations only where the baseline is scored. The drop kernel
-:func:`run_drop` draws nothing: it scores a block of drawn gains.
+results are bit-reproducible for any worker count. All of the sampling
+happens in one place, the chunk function ``_run_chunk``: it draws its CU
+positions and gains at its start and then, block by block, the next variates
+from the chunk's streams. A drop draws link gains, not channels, and only
+those its outputs read: the MTD-to-BS interference only as the order
+statistics the matcher reads, MTD-to-MTA gains only under controlled MTD
+power, random-baseline permutations only where the baseline is scored. The
+drop kernel :func:`run_drop` draws nothing: it scores a block of matched
+interference.
 """
 
 from __future__ import annotations
@@ -32,18 +32,16 @@ from .channel import (
 )
 from .config import SimConfig
 from .phy import outage_indicator, throughput
-from .scheduler import (
-    cu_power_control,
-    match_assignments,
-    mtd_power_control,
-)
+from .scheduler import Race, cu_power_control, match_assignments, mtd_power_control
 
 #: version of the random-number contract: which variates each substream
 #: draws, in which order. Contract 1 drew antenna-level channels per drop,
-#: contract 2 their sufficient statistics on one substream per drop, and
+#: contract 2 their sufficient statistics on one substream per drop,
 #: contract 3 the same statistics on one substream per chunk of drops and
-#: purpose (see _run_chunk). Every run manifest records it.
-RNG_CONTRACT = 3
+#: purpose, and contract 4 draws the interference only as the order
+#: statistics the matcher reads, block by block (see _run_chunk). Every run
+#: manifest records it.
+RNG_CONTRACT = 4
 
 # substream namespaces under the root seed; a chunk's streams are keyed
 # (seed, namespace, chunk index)
@@ -57,8 +55,9 @@ _NS_MTA = 5
 #: drops per chunk, part of the RNG contract: drop i belongs to chunk
 #: i // CHUNK_DROPS, whose substreams it draws from; a chunk is one pool task
 CHUNK_DROPS = 256
-#: most (RB, MTD) entries in one block of drops; a block holds at least one drop
-BLOCK_ENTRIES = 4096
+#: most (drop, MTD) entries in one block of drops, a block holding at least
+#: one drop; part of the RNG contract, as the race's variates follow blocks
+BLOCK_ENTRIES = 16384
 
 
 def _generator(seed: int, *key: int) -> np.random.Generator:
@@ -100,53 +99,30 @@ def _format_cell(value) -> str:
     return f"{float(value):.9g}"
 
 
-def run_drop(config: SimConfig, cu_gain, bs_gain, mta_gain=None, perms=None) -> DropResult:
-    """Score a block of D drops from their drawn link gains; draws nothing.
+def run_drop(config: SimConfig, cu_gain, selected, interference, baseline=None) -> DropResult:
+    """Score a block of D drops from their CU gains and matched interference;
+    draws nothing.
 
-    The gains are the sufficient statistics of the Rayleigh channels: with a
-    unit-norm MRC combiner u_n = h_c,n / ||h_c,n||, RB n's CU gain
-    ||h_c,n||^2, ``cu_gain`` (D, N), and MTD k's post-combiner gain
-    |u_n^H h_k,n|^2, ``bs_gain`` (D, N, K). ``mta_gain`` (D, K), the
-    MTD-to-MTA gains |h_k|^2, is read only under controlled MTD power. With
-    ``perms`` (D, K), one MTD permutation per drop, the random baseline, each
-    RB n taking MTD perms[n], is scored alongside on the same interference
-    matrix. Runs power control, matching, SINR, throughput and outage once for
-    the block and writes nothing to its inputs.
+    ``cu_gain`` (D, N) is each RB's CU gain ||h_c,n||^2, the sufficient
+    statistic of the Rayleigh CU channel under a unit-norm MRC combiner.
+    ``selected`` (D, N) is each RB's MTD from the matcher (-1: none) and
+    ``interference`` (D, N) the watts that MTD injects after the combiner (0
+    where none). With ``baseline`` (D, N), the watts of the random
+    assignment's MTDs, its throughput is scored alongside. Runs CU power
+    control, SINR, throughput and outage once for the block and writes
+    nothing to its inputs.
     """
-    n_drops, n_rb, k = np.shape(bs_gain)
     n0 = config.noise_power_w
-    # post-combiner interference in watts, (D, N, K)
-    if config.mtd_power_mode == "fixed":
-        matrix = bs_gain * config.mtd_fixed_power_w
-    else:
-        p_mtd = mtd_power_control(
-            mta_gain, n0, config.i0_w, config.mtd_target_sinr, config.p_max_w
-        )
-        matrix = bs_gain * p_mtd[:, None, :]
-
-    idx = match_assignments(matrix)
     p_c = cu_power_control(cu_gain, n0, config.cu_target_sinr, config.p_max_w)
     signal = p_c * cu_gain
-    drops, rbs = np.ogrid[:n_drops, :n_rb]
-
-    def interference(idx: np.ndarray) -> np.ndarray:
-        """Per-RB interference for (D, N) RB->MTD indices (-1 = no sharing MTD)."""
-        return np.where(idx >= 0, matrix[drops, rbs, np.maximum(idx, 0)], 0.0)
-
-    eff_int = interference(idx)
-    sinr = signal / (eff_int + n0)
-
+    sinr = signal / (interference + n0)
     baseline_bps = None
-    if perms is not None:
-        b_idx = np.full((n_drops, n_rb), -1)
-        take = min(n_rb, k)
-        b_idx[:, :take] = perms[:, :take]
-        baseline_bps = throughput(signal / (interference(b_idx) + n0), config.rb_bandwidth_hz)
-
+    if baseline is not None:
+        baseline_bps = throughput(signal / (baseline + n0), config.rb_bandwidth_hz)
     return DropResult(
         sinr_db=10.0 * np.log10(sinr),
-        selected_mtd=idx,
-        eff_interference_w=eff_int,
+        selected_mtd=selected,
+        eff_interference_w=interference,
         throughput_bps=throughput(sinr, config.rb_bandwidth_hz),
         outage=outage_indicator(sinr, config.delta_th),
         baseline_throughput_bps=baseline_bps,
@@ -162,16 +138,21 @@ def _run_chunk(
     config: SimConfig, deployment: Deployment, chunk: int, with_baseline: bool, block: int
 ) -> DropResult:
     """Chunk ``chunk`` of ``config.n_drops`` drops, in blocks of ``block``
-    drops: the whole of RNG contract 3.
+    drops: the whole of RNG contract 4.
 
     The chunk's streams are keyed (seed, namespace, chunk). The CU stream
     draws all of the chunk's CU distances, then its CU gains g_c Gamma(M, 1).
-    Then each block, in drop order, draws its MTD-to-BS gains g_k Exp(1) from
-    the projection stream, under controlled power its MTD-to-MTA gains
-    g_mta Exp(1) from the MTA stream and, with the baseline, one MTD
-    permutation per drop from the baseline stream. Each stream is its own
-    sequence, so a stream a run does not read is never created and moves no
-    other variate.
+    Then each block, in drop order, draws under controlled power its
+    MTD-to-MTA gains g_mta Exp(1) from the MTA stream; matches its RBs on a
+    :class:`Race` over the projection stream, the block's MTD-to-BS
+    interference |u^H h_k|^2 p_k ~ Exp(1 / (p_k g_k)) read as order
+    statistics; and, with the baseline, draws one MTD permutation per drop
+    and then the baseline's entries the race did not serve from the baseline
+    stream. Under fixed power the race runs at unit power, so every fixed
+    power picks the same MTDs and the picked values are scaled by p after.
+    The race reads a data-dependent number of variates, so the block
+    partition is part of the contract. Each stream is its own sequence, so a
+    stream a run does not read is never created and moves no other variate.
     """
     n = min(CHUNK_DROPS, config.n_drops - chunk * CHUNK_DROPS)
     n_rb, k, floor = config.n_rb, deployment.n_mtds, config.min_distance_m
@@ -180,23 +161,34 @@ def _run_chunk(
     cu_gain = cu.standard_gamma(config.antennas, (n, n_rb))
     cu_gain *= linear_gain(r, floor)[:, None]
     g_bs = linear_gain(deployment.mtd_bs_distances(), floor)
-    g_mta = linear_gain(np.maximum(deployment.mtd_mta_distances(), floor), floor)
     projection = _generator(config.seed, _NS_PROJECTION, chunk)
     controlled = config.mtd_power_mode == "controlled"
-    mta = _generator(config.seed, _NS_MTA, chunk) if controlled else None
+    if controlled:
+        g_mta = linear_gain(np.maximum(deployment.mtd_mta_distances(), floor), floor)
+        mta = _generator(config.seed, _NS_MTA, chunk)
+        scale = 1.0
+    else:
+        rates, scale = 1.0 / g_bs, config.mtd_fixed_power_w
     baseline = _generator(config.seed, _NS_BASELINE, chunk) if with_baseline else None
     parts = []
     for lo in range(0, n, block):
         d = min(block, n - lo)
-        bs_gain = projection.standard_exponential((d, n_rb, k))
-        bs_gain *= g_bs
-        mta_gain = perms = None
         if controlled:
             mta_gain = mta.standard_exponential((d, k))
             mta_gain *= g_mta
+            p_mtd = mtd_power_control(
+                mta_gain, config.noise_power_w, config.i0_w, config.mtd_target_sinr,
+                config.p_max_w,
+            )
+            rates = np.reciprocal(np.multiply(p_mtd, g_bs, out=p_mtd), out=p_mtd)
+        race = Race(rates, d, n_rb, projection)
+        selected, value = match_assignments(race)
+        base = None
         if with_baseline:
             perms = baseline.permuted(np.tile(np.arange(k), (d, 1)), axis=1)
-        parts.append(run_drop(config, cu_gain[lo:lo + d], bs_gain, mta_gain, perms))
+            base = np.zeros((d, n_rb))
+            base[:, :min(n_rb, k)] = race.values(perms[:, :n_rb], baseline) * scale
+        parts.append(run_drop(config, cu_gain[lo:lo + d], selected, value * scale, base))
     return _concat(parts)
 
 
@@ -221,7 +213,7 @@ def _run_drops(config: SimConfig, deployment: Deployment, pool, with_baseline=Fa
     """All ``config.n_drops`` drops of one sweep point, chunk by chunk in drop
     order, serially or one chunk per pool task."""
     # sized here and sent with each task, so every worker uses the same blocks
-    block = max(1, BLOCK_ENTRIES // (config.n_rb * deployment.n_mtds))
+    block = max(1, BLOCK_ENTRIES // deployment.n_mtds)
     chunks = range(-(-config.n_drops // CHUNK_DROPS))
     args = repeat(config), repeat(deployment), chunks, repeat(with_baseline), repeat(block)
     return _concat(list((map if pool is None else pool.map)(_run_chunk, *args)))
@@ -278,8 +270,8 @@ def _single_rb_points(config: SimConfig, k_values, power_values=None) -> list[Si
     base = replace(config, n_rb=1)
     if config.mtd_power_mode == "fixed":
         powers = [config.mtd_fixed_power_dbm] if power_values is None else list(power_values)
-        if not powers:
-            raise ValueError("power_values must hold at least one MTD power")
+        if not powers or len(set(powers)) != len(powers):
+            raise ValueError(f"power_values must hold distinct MTD powers, got {power_values}")
         return [replace(base, k=k, mtd_fixed_power_dbm=float(p)) for k in ks for p in powers]
     if power_values is not None:
         raise ValueError("power_values sets fixed MTD powers; controlled power mode has none")

@@ -10,15 +10,18 @@ distributions.
 
 ``match_assignments_loop`` is the matching rounds as a Python loop over one
 drop's RBs; ``mtc_underlay.match_assignments`` runs the same rounds on a
-whole block of drops at once, and ``tests/test_scheduler.py`` checks them
-against each other. ``match_matrix`` is the block matcher on one (N, K)
-matrix, returning an :class:`Assignment`. ``optimal_assignment_oracle``
+whole block of drops at once, reading each row's order statistics from a
+source, and ``tests/test_scheduler.py`` checks them against each other with
+:class:`SortedMatrix`, the source that serves a given block of matrices.
+``match_block`` and ``match_matrix`` are the runtime matcher on that source,
+on a block and on one (N, K) matrix (as an :class:`Assignment`). ``optimal_assignment_oracle``
 enumerates every assignment, the optimum the greedy rounds are measured
 against, and ``select_min_interference`` is one RB's pick, the argmin of its
 row.
 
-``single_rb_outage_fixed`` is the CU outage on one shared RB under fixed MTD
-power, exact by quadrature; ``holm_rejected`` is the family-wise rule of the
+``single_rb_outage_fixed`` and ``single_rb_outage_controlled`` are the CU
+outage on one shared RB under fixed and under controlled MTD power, exact by
+quadrature; ``holm_rejected`` is the family-wise rule of the
 tests that compare the engine with such references.
 
 ``sample_deployment_scalar`` and ``sample_cu_position_scalar`` place nodes one
@@ -339,10 +342,44 @@ def as_interference_matrix(matrix) -> np.ndarray:
     return m
 
 
+class SortedMatrix:
+    """The order-statistic source of ``mtc_underlay.match_assignments`` over a
+    given (D, N, K) block of interference matrices, in nonnegative finite
+    watts: each row is served in ascending order, equal values in ascending
+    MTD index, so the first unclaimed entry served is the row's argmin over
+    its unclaimed MTDs."""
+
+    def __init__(self, block):
+        m = np.asarray(block, dtype=float)
+        if m.ndim != 3 or 0 in m.shape:
+            raise ValueError(f"interference block must be 3-D and nonempty, got shape {m.shape}")
+        if not np.all(np.isfinite(m)) or np.any(m < 0):
+            raise ValueError("interference matrix entries must be finite and nonnegative")
+        self.shape = m.shape
+        self._order = np.argsort(m, axis=2, kind="stable")
+        self._sorted = np.take_along_axis(m, self._order, axis=2)
+        self._served = np.zeros(m.shape[:2], dtype=int)
+
+    def next(self, drop, rb):
+        k = self.shape[2]
+        i = self._served[drop, rb]
+        self._served[drop, rb] += 1
+        spent = i >= k
+        i = np.minimum(i, k - 1)
+        return (np.where(spent, k, self._order[drop, rb, i]),
+                np.where(spent, np.inf, self._sorted[drop, rb, i]))
+
+
+def match_block(block) -> np.ndarray:
+    """``mtc_underlay.match_assignments`` on a (D, N, K) block of matrices:
+    the (D, N) array of each RB's MTD (-1: none)."""
+    return match_assignments(SortedMatrix(block))[0]
+
+
 def match_matrix(matrix) -> Assignment:
     """``mtc_underlay.match_assignments`` on one (N, K) matrix, as an
     :class:`Assignment`."""
-    idx = match_assignments(as_interference_matrix(matrix)[None])[0]
+    idx = match_block(as_interference_matrix(matrix)[None])[0]
     return Assignment([None if j < 0 else int(j) for j in idx])
 
 
@@ -531,6 +568,54 @@ def vector_channel_statistics(
 # --- analytic single-RB outage --------------------------------------------------
 
 
+def _path_gain(d):
+    """Mean channel gain at distance ``d`` m, written out from the model:
+    128.1 + 36.7 log10(d / 1 km) dB of path loss."""
+    return 10.0 ** (-(128.1 + 36.7 * np.log10(np.asarray(d) / 1000.0)) / 10.0)
+
+
+def _single_rb_outage(config: SimConfig, survival) -> float:
+    """CU outage probability on one shared RB in a cell without the CU
+    keep-out disk around the MTA (``cu_mta_exclusion_m`` = 0), given the
+    survival function x -> P(I > x) of the selected interference I (watts;
+    continuous for x > 0), by quadrature.
+
+    The power-controlled CU signal is S = min(p_max g_c(r) G, T n0),
+    G ~ Gamma(M, 1), the CU distance r having density 2r / (R^2 - d0^2) on
+    [d0, R]. The CU is in outage when S / (I + n0) <= delta_th, so
+
+        P_out = E[P(I >= max(0, S / delta_th - n0))],
+
+    taken over G in closed form where S / delta_th <= n0 or S = T n0, and by
+    quadrature in between and over r.
+    """
+    from scipy import integrate, special
+
+    if config.cu_mta_exclusion_m != 0:
+        raise ValueError("the oracle covers a cell without a CU exclusion disk")
+    n0, dth, t, m = config.noise_power_w, config.delta_th, config.cu_target_sinr, config.antennas
+    x_cap = max(0.0, t * n0 / dth - n0)  # I the CU tolerates once S = T n0
+    at_cap = 1.0 if x_cap == 0.0 else survival(x_cap)
+    log_gamma_m = math.lgamma(m)
+
+    def given_r(r: float) -> float:
+        a = config.p_max_w * float(_path_gain(r))
+        lo = dth * n0 / a  # G <= lo: in outage whatever I
+        hi = max(lo, t * n0 / a)  # G >= hi: S = T n0
+
+        def density(g):  # P(I >= a g / delta_th - n0) times the Gamma(M, 1) density
+            return survival(a * g / dth - n0) * math.exp((m - 1) * math.log(g) - g - log_gamma_m)
+
+        middle = integrate.quad(density, lo, hi, limit=200)[0] if hi > lo else 0.0
+        return special.gammainc(m, lo) + middle + at_cap * special.gammaincc(m, hi)
+
+    big_r, d0 = config.cell_radius_m, config.min_distance_m
+    value, _ = integrate.quad(
+        lambda r: 2.0 * r / (big_r**2 - d0**2) * given_r(r), d0, big_r, limit=200
+    )
+    return value
+
+
 def single_rb_outage_fixed(config: SimConfig, deployment: Deployment) -> float:
     """CU outage probability on one shared RB under fixed MTD power, exactly,
     by quadrature; for a cell without the CU keep-out disk around the MTA
@@ -538,52 +623,49 @@ def single_rb_outage_fixed(config: SimConfig, deployment: Deployment) -> float:
 
     The scheduler gives the RB the MTD of least interference, I = min_k p g_k
     E_k with E_k ~ Exp(1) independent, so I ~ Exp(Lambda), Lambda =
-    sum_k 1 / (p g_k) (competing exponentials; Lambda = inf at p = 0 W). The
-    power-controlled CU signal is S = min(p_max g_c(r) G, T n0), G ~ Gamma(M, 1),
-    the CU distance r having density 2r / (R^2 - d0^2) on [d0, R]. The CU is
-    in outage when S / (I + n0) <= delta_th, so
-
-        P_out = E[exp(-Lambda max(0, S / delta_th - n0))],
-
-    taken over G in closed form where S / delta_th <= n0 or S = T n0, and by
-    quadrature in between and over r. Path loss is written out from the model,
-    128.1 + 36.7 log10(d / 1 km) dB, so no gain or sampling code is shared
-    with the engine.
+    sum_k 1 / (p g_k) (competing exponentials; Lambda = inf at p = 0 W), and
+    P(I > x) = exp(-Lambda x). Path loss is written out from the model, so no
+    gain or sampling code is shared with the engine.
     """
-    from scipy import integrate, special
-
-    if config.cu_mta_exclusion_m != 0 or config.mtd_power_mode != "fixed":
-        raise ValueError("the oracle covers fixed MTD power without a CU exclusion disk")
-
-    def gain(d):
-        return 10.0 ** (-(128.1 + 36.7 * np.log10(np.asarray(d) / 1000.0)) / 10.0)
-
-    n0, dth, t, m = config.noise_power_w, config.delta_th, config.cu_target_sinr, config.antennas
+    if config.mtd_power_mode != "fixed":
+        raise ValueError("the oracle covers fixed MTD power")
     p = config.mtd_fixed_power_w
-    lam = math.inf if p == 0.0 else float(np.sum(1.0 / (p * gain(deployment.mtd_bs_distances()))))
-    x_cap = max(0.0, t * n0 / dth - n0)  # I the CU tolerates once S = T n0
-    log_gamma_m = math.lgamma(m)
+    gains = _path_gain(deployment.mtd_bs_distances())
+    lam = math.inf if p == 0.0 else float(np.sum(1.0 / (p * gains)))
+    return _single_rb_outage(config, lambda x: math.exp(-lam * x))
 
-    def given_r(r: float) -> float:
-        a = config.p_max_w * float(gain(r))
-        lo = dth * n0 / a  # G <= lo: in outage whatever I
-        hi = max(lo, t * n0 / a)  # G >= hi: S = T n0
-        tail = special.gammaincc(m, hi)
-        if math.isinf(lam):
-            return special.gammainc(m, lo) + (x_cap == 0.0) * tail
-        c = lam * a / dth
 
-        def density(g):  # exp(-Lambda (a g / delta_th - n0)) times the Gamma(M, 1) density
-            return math.exp(-c * (g - lo) + (m - 1) * math.log(g) - g - log_gamma_m)
+def single_rb_outage_controlled(config: SimConfig, deployment: Deployment) -> float:
+    """CU outage probability on one shared RB under controlled MTD power,
+    exactly, by quadrature; for a cell without the CU keep-out disk around
+    the MTA (``cu_mta_exclusion_m`` = 0).
 
-        middle = integrate.quad(density, lo, hi, limit=200)[0] if hi > lo else 0.0
-        return special.gammainc(m, lo) + middle + math.exp(-lam * x_cap) * tail
+    MTD k transmits p_k = min(p_max, c / (h_k F_k)), c = T_m (i0 + n0), over
+    its MTA gain h_k F_k (distance floored at d0), F_k ~ Exp(1). Given F_k,
+    its interference on the RB is p_k g_k E_k, E_k ~ Exp(1), so the selected
+    interference I = min_k p_k g_k E_k has
 
-    big_r, d0 = config.cell_radius_m, config.min_distance_m
-    value, _ = integrate.quad(
-        lambda r: 2.0 * r / (big_r**2 - d0**2) * given_r(r), d0, big_r, limit=200
-    )
-    return value
+        P(I > x) = prod_k E_F[exp(-x / (p_k(F) g_k))],
+
+    and each factor is in closed form: with f_k = c / (h_k p_max) (below it
+    the cap binds) and b_k = x h_k / (c g_k),
+
+        (1 - e^-f_k) e^(-x / (p_max g_k)) + e^(-f_k (1 + b_k)) / (1 + b_k).
+    """
+    if config.mtd_power_mode != "controlled":
+        raise ValueError("the oracle covers controlled MTD power")
+    c = config.mtd_target_sinr * (config.i0_w + config.noise_power_w)
+    p_max, d0 = config.p_max_w, config.min_distance_m
+    g = _path_gain(deployment.mtd_bs_distances())
+    h = _path_gain(np.maximum(deployment.mtd_mta_distances(), d0))
+    f = c / (h * p_max)
+
+    def survival(x: float) -> float:
+        b = x * h / (c * g)
+        capped = -np.expm1(-f) * np.exp(-x / (p_max * g))
+        return float(np.prod(capped + np.exp(-f * (1.0 + b)) / (1.0 + b)))
+
+    return _single_rb_outage(config, survival)
 
 
 def holm_rejected(p_values: dict, alpha: float) -> set:

@@ -190,6 +190,18 @@ def test_non_finite_mtd_power_flag_is_usage_error(args, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0,0", "-10,0,-10.0", "-inf,-INF", "0,-0"])
+def test_duplicate_mtd_powers_are_usage_errors(value, tmp_path, capsys):
+    # a repeated power would run every one of its sweep points twice
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        _run(["single-rb", "--mtd-power-dbm", value, "--drops", "5", "--k-values", "1,3",
+              "--out", str(out)])
+    assert exc.value.code == 1
+    assert "distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_minus_inf_mtd_power_flag_switches_mtds_off(tmp_path):
     out = tmp_path / "o"
     args = ["single-rb", "--mtd-power-dbm=-inf", "--drops", "5", "--k-values", "1"]
@@ -257,7 +269,7 @@ def test_controlled_mode_from_config_file_rejects_mtd_power(tmp_path, capsys):
 def test_manifest_records_rng_contract(tmp_path):
     out = tmp_path / "run"
     assert _run(["outage", "--out", str(out), "--drops", "5", "--k-values", "1"]) == 0
-    assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 3
+    assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 4
 
 
 class _Killed(BaseException):

@@ -20,8 +20,13 @@ from mtc_underlay import (
     sample_deployment,
     verify_asymptotic,
 )
-from mtc_underlay import montecarlo
-from oracles import holm_rejected, single_rb_outage_fixed
+from mtc_underlay import match_assignments, montecarlo, mtd_power_control
+from oracles import (
+    SortedMatrix,
+    holm_rejected,
+    single_rb_outage_controlled,
+    single_rb_outage_fixed,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -62,14 +67,18 @@ def test_run_drop_deterministic():
 
 @pytest.mark.parametrize("mode", ["fixed", "controlled"])
 @pytest.mark.parametrize("n_rb, k", [(20, 5), (3, 40), (1, 7)])
-def test_block_equals_its_drops_one_at_a_time(mode, n_rb, k):
+def test_block_equals_its_drops_one_at_a_time(monkeypatch, mode, n_rb, k):
     # a block is scored at once; every drop in it must come out as if alone
     cfg = SimConfig(k=k, n_rb=n_rb, mtd_power_mode=mode, seed=5, n_drops=6)
     dep = sample_deployment(cfg, np.random.default_rng(2))
-    block = montecarlo._run_chunk(cfg, dep, 0, True, 6)
-    singles = montecarlo._run_chunk(cfg, dep, 0, True, 1)
-    for f in fields(DropResult):
-        np.testing.assert_array_equal(getattr(block, f.name), getattr(singles, f.name), err_msg=f.name)
+    _, inputs, _ = _record_chunk(monkeypatch, cfg, dep, 0, True, 6)
+    block = run_drop(cfg, *inputs.values())
+    for i in range(6):
+        alone = run_drop(cfg, *(a[i:i + 1] for a in inputs.values()))
+        for f in fields(DropResult):
+            np.testing.assert_array_equal(
+                getattr(block, f.name)[i:i + 1], getattr(alone, f.name), err_msg=f.name
+            )
 
 
 def _read_only(*arrays):
@@ -78,18 +87,22 @@ def _read_only(*arrays):
 
 
 def test_run_drop_scores_hand_written_gains():
-    # two drops, three RBs, two MTDs (K < N). Drop 0, round 1: every RB claims
-    # MTD 0 and RB 0 hears it lowest; round 2: RBs 1 and 2 claim MTD 1 and RB
-    # 1 wins; RB 2 finds both MTDs taken and carries none. Drop 1 mirrors the
-    # MTDs. The baseline puts MTD perms[n] on RB n and leaves RB 2 empty too.
+    # two drops, three RBs, two MTDs (K < N), matched on the sorted-matrix
+    # source. Drop 0, round 1: every RB claims MTD 0 and RB 0 hears it lowest;
+    # round 2: RBs 1 and 2 claim MTD 1 and RB 1 wins; RB 2 finds both MTDs
+    # taken and carries none. Drop 1 mirrors the MTDs. The baseline puts MTD
+    # perms[n] on RB n and leaves RB 2 empty too.
     cfg = SimConfig(n_rb=3)  # MTDs at the default 0 dBm
     n0, p = cfg.noise_power_w, cfg.mtd_fixed_power_w
     cu_gain = np.array([[1e-12, 2e-12, 4e-12], [3e-13, 1e-11, 5e-12]])
     bs_gain = np.array([[[1.0, 5.0], [2.0, 3.0], [4.0, 6.0]],
                         [[5.0, 1.0], [3.0, 2.0], [6.0, 4.0]]]) * 1e-12
     perms = np.array([[1, 0], [0, 1]])
-    _read_only(cu_gain, bs_gain, perms)  # the kernel writes nothing to its inputs
-    d = run_drop(cfg, cu_gain, bs_gain, perms=perms)
+    selected, value = match_assignments(SortedMatrix(bs_gain * p))
+    base = np.zeros((2, 3))
+    base[:, :2] = np.take_along_axis(bs_gain[:, :2] * p, perms[..., None], 2)[..., 0]
+    _read_only(cu_gain, selected, value, base)  # the kernel writes nothing to its inputs
+    d = run_drop(cfg, cu_gain, selected, value, base)
 
     assert d.selected_mtd.tolist() == [[0, 1, -1], [1, 0, -1]]
     interference = np.array([[1.0, 3.0, 0.0], [1.0, 3.0, 0.0]]) * 1e-12 * p
@@ -102,24 +115,27 @@ def test_run_drop_scores_hand_written_gains():
     np.testing.assert_allclose(d.throughput_bps, rate.sum(axis=1), rtol=1e-15)
     # baseline: drop 0 puts MTDs 1, 0 on RBs 0, 1; drop 1 puts MTDs 0, 1
     base_int = np.array([[5.0, 2.0, 0.0], [5.0, 2.0, 0.0]]) * 1e-12 * p
+    np.testing.assert_array_equal(base, base_int)
     base_rate = cfg.rb_bandwidth_hz * np.log2(1.0 + signal / (base_int + n0))
     np.testing.assert_allclose(d.baseline_throughput_bps, base_rate.sum(axis=1), rtol=1e-15)
-    assert run_drop(cfg, cu_gain, bs_gain).baseline_throughput_bps is None
+    assert run_drop(cfg, cu_gain, selected, value).baseline_throughput_bps is None
 
 
-def test_run_drop_controlled_power_reads_mta_gains():
-    # MTD power min(p_max, T_m (i0 + n0) / g_mta) weights the BS gains: MTD 0
-    # is the quieter at the BS but, far from its MTA, transmits 100x louder
-    cfg = SimConfig(n_rb=1, mtd_power_mode="controlled")
-    target = cfg.mtd_target_sinr * (cfg.i0_w + cfg.noise_power_w)
-    mta_gain = np.array([[target / 1e-4, target / 1e-6]])  # powers 100 uW and 1 uW
-    bs_gain = np.array([[[1e-10, 1e-9]]])
-    cu_gain = np.array([[1e-12]])
-    _read_only(cu_gain, bs_gain, mta_gain)
-    d = run_drop(cfg, cu_gain, bs_gain, mta_gain)
-    assert d.selected_mtd.tolist() == [[1]]
-    p_mtd = np.minimum(cfg.p_max_w, target / mta_gain)
-    np.testing.assert_array_equal(d.eff_interference_w, [[1e-9 * p_mtd[0, 1]]])
+def test_controlled_power_race_rates_read_mta_gains(monkeypatch):
+    # under controlled power the race runs at each MTD's interference rate
+    # 1 / (p_k g_k), p_k = min(p_max, T_m (i0 + n0) / |h_k|^2) over the drawn
+    # MTD-to-MTA gains, one power per drop and MTD
+    cfg = SimConfig(k=4, n_rb=2, n_drops=5, mtd_power_mode="controlled", seed=8)
+    dep = sample_deployment(cfg, np.random.default_rng(1))
+    _, _, races = _record_chunk(monkeypatch, cfg, dep, 0, False, 5)
+    floor = cfg.min_distance_m
+    g_mta = linear_gain(np.maximum(dep.mtd_mta_distances(), floor), floor)
+    mta_gain = montecarlo._generator(cfg.seed, montecarlo._NS_MTA, 0).standard_exponential((5, 4))
+    p_mtd = mtd_power_control(mta_gain * g_mta, cfg.noise_power_w, cfg.i0_w,
+                              cfg.mtd_target_sinr, cfg.p_max_w)
+    g_bs = linear_gain(dep.mtd_bs_distances(), floor)
+    assert len(races) == 1 and races[0][1:] == (5, 2)
+    np.testing.assert_array_equal(races[0][0], 1.0 / (p_mtd * g_bs))
 
 
 def test_run_drop_fewer_mtds_than_rbs():
@@ -183,6 +199,15 @@ def test_single_rb_controlled_mode_rejects_power_values():
 def test_single_rb_rejects_empty_power_values():
     with pytest.raises(ValueError, match="power_values"):
         experiment_single_rb(SimConfig(n_drops=10), [1], power_values=[])
+
+
+@pytest.mark.parametrize("powers", [[0.0, 0.0], [-10.0, 0.0, -10.0], [-math.inf, -math.inf]])
+def test_single_rb_rejects_duplicate_power_values(powers):
+    # a repeated power would run every one of its sweep points twice
+    with pytest.raises(ValueError, match="distinct"):
+        experiment_single_rb(SimConfig(n_drops=10), [1, 3], power_values=powers)
+    with pytest.raises(ValueError, match="distinct"):
+        montecarlo._single_rb_points(SimConfig(), [1, 3], powers)
 
 
 def test_more_interferer_choices_help():
@@ -344,6 +369,27 @@ def test_fixed_power_outage_matches_single_rb_law():
     assert not holm_rejected(p_values, _ORACLE_ALPHA), table
 
 
+def test_controlled_power_outage_matches_single_rb_law():
+    # The engine's outage rate on one RB under controlled MTD power against
+    # the exact law on the same deployment (oracles.single_rb_outage_controlled),
+    # over MTD SINR targets (at 45 dB the p_max cap binds for most MTDs) and
+    # K, all cells one Holm family of score tests at _ORACLE_ALPHA. Cells
+    # whose expected count n p0 is far below 1 fail on any outage at all.
+    cfg = SimConfig(cu_mta_exclusion_m=0.0, n_drops=20_000, mtd_power_mode="controlled")
+    ks = [1, 3, 10, 30]
+    rng = montecarlo._generator(cfg.seed, montecarlo._NS_DEPLOYMENT)
+    full = sample_deployment(replace(cfg, k=ks[-1]), rng)  # the deployment the sweep samples
+    p_values, table = {}, []
+    for target in (5.0, 25.0, 45.0):
+        point = replace(cfg, mtd_target_sinr_db=target)
+        for k, _, rate in experiment_outage(point, ks).rows:
+            p0 = single_rb_outage_controlled(replace(point, n_rb=1, k=k), full.subset(k))
+            outages = round(rate * cfg.n_drops)
+            p_values[(target, k)] = _wilson_score_p(outages, cfg.n_drops, p0)
+            table.append((target, k, rate, p0))
+    assert not holm_rejected(p_values, _ORACLE_ALPHA), table
+
+
 # --- order-statistics check -----------------------------------------------------
 
 
@@ -408,7 +454,7 @@ def test_golden_single_rb_csv():
 
 # The two goldens below cover N = 20 with K below, at and above N (random
 # baseline included), and controlled MTD power, where some MTDs' power binds
-# at the cap. All four drop goldens were last written under RNG contract 3.
+# at the cap. All four drop goldens were last written under RNG contract 4.
 _THROUGHPUT_GOLDEN = (SimConfig(n_drops=200), [5, 20, 50])
 _OUTAGE_GOLDEN = (
     SimConfig(n_drops=300, mtd_power_mode="controlled", delta_th_db=9.5, mtd_target_sinr_db=45.0),
@@ -444,34 +490,46 @@ def test_golden_outage_fixed_csv():
     ],
     ids=["throughput", "single-rb", "outage-controlled"],
 )
-def test_block_size_and_workers_do_not_change_csv(run, monkeypatch):
-    # 300 drops make two pool chunks at --workers 2
+def test_chunks_and_workers_do_not_change_csv(run):
+    # 300 drops make two pool chunks; each chunk's drops are a function of
+    # (seed, chunk) alone, so any worker count returns the same CSV (the
+    # block partition within a chunk is part of RNG contract 4)
     reference = run(1).to_csv_text()
-    monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", 1)  # one drop per block
-    assert run(1).to_csv_text() == reference
     assert run(2).to_csv_text() == reference
+    assert run(3).to_csv_text() == reference
 
 
 def _record_chunk(monkeypatch, cfg, dep, chunk, with_baseline, block):
-    """Run one chunk; return the keys ``_generator`` was called with and the
-    arrays each ``run_drop`` call received, concatenated over the blocks."""
-    keys, calls = [], []
-    generator, kernel = montecarlo._generator, montecarlo.run_drop
+    """Run one chunk; return the keys ``_generator`` was called with, the
+    arrays each ``run_drop`` call received, concatenated over the blocks, and
+    the (rates, drops, RBs) of each race."""
+    keys, calls, races = [], [], []
+    generator, kernel, race = montecarlo._generator, montecarlo.run_drop, montecarlo.Race
 
     def recording_generator(seed, *key):
         keys.append((seed, *key))
         return generator(seed, *key)
 
-    def recording_kernel(config, *gains):
-        calls.append(gains)
-        return kernel(config, *gains)
+    def recording_kernel(config, *inputs):
+        calls.append(inputs)
+        return kernel(config, *inputs)
+
+    def recording_race(rates, n_drops, n_rb, rng):
+        races.append((rates, n_drops, n_rb))
+        return race(rates, n_drops, n_rb, rng)
 
     monkeypatch.setattr(montecarlo, "_generator", recording_generator)
     monkeypatch.setattr(montecarlo, "run_drop", recording_kernel)
+    monkeypatch.setattr(montecarlo, "Race", recording_race)
     montecarlo._run_chunk(cfg, dep, chunk, with_baseline, block)
     monkeypatch.undo()
-    gains = [None if g[0] is None else np.concatenate(g) for g in zip(*calls)]
-    return keys, dict(zip(["cu", "bs", "mta", "perms"], gains))
+    inputs = [None if a[0] is None else np.concatenate(a) for a in zip(*calls)]
+    return keys, dict(zip(["cu", "selected", "interference", "baseline"], inputs)), races
+
+
+def _block(dep):
+    """The block size ``_run_drops`` gives a chunk."""
+    return max(1, montecarlo.BLOCK_ENTRIES // dep.n_mtds)
 
 
 def test_chunk_streams_depend_only_on_seed_and_chunk(monkeypatch):
@@ -481,56 +539,89 @@ def test_chunk_streams_depend_only_on_seed_and_chunk(monkeypatch):
     cfg = SimConfig(k=30, n_rb=4, n_drops=2 * size, mtd_power_mode="controlled")
     dep = sample_deployment(cfg, np.random.default_rng(3))
     whole = montecarlo._run_drops(cfg, dep, None, with_baseline=True)
-    alone = montecarlo._run_chunk(cfg, dep, 1, True, 1)  # drops [256, 512), one per block
+    alone = montecarlo._run_chunk(cfg, dep, 1, True, _block(dep))  # drops [256, 512)
     for f in fields(DropResult):
         np.testing.assert_array_equal(
             getattr(alone, f.name), getattr(whole, f.name)[size:], err_msg=f.name
         )
     assert not np.array_equal(whole.sinr_db[:size], whole.sinr_db[size:])
     # the streams are keyed (seed, namespace, chunk), one per namespace, and
-    # a different chunk or seed draws different gains from every stream
-    keys, ref = _record_chunk(monkeypatch, cfg, dep, 1, True, 8)
+    # a different chunk or seed draws different CU gains, interference and
+    # baseline
+    keys, ref, _ = _record_chunk(monkeypatch, cfg, dep, 1, True, 8)
     namespaces = [montecarlo._NS_CU, montecarlo._NS_PROJECTION, montecarlo._NS_MTA,
                   montecarlo._NS_BASELINE]
     assert sorted(keys) == sorted((cfg.seed, ns, 1) for ns in namespaces)
     other_seed = replace(cfg, seed=cfg.seed + 1)
     for other_cfg, chunk in ((cfg, 0), (other_seed, 1)):
-        _, other = _record_chunk(monkeypatch, other_cfg, dep, chunk, True, 8)
-        for stream, gains in other.items():
-            assert not np.array_equal(gains, ref[stream]), stream
+        _, other, _ = _record_chunk(monkeypatch, other_cfg, dep, chunk, True, 8)
+        for name in ("cu", "interference", "baseline"):
+            assert not np.array_equal(other[name], ref[name]), name
 
 
 def test_chunk_draws_floored_link_gains_in_stream_order(monkeypatch):
-    # the gains run_drop receives are the chunk streams' variates, in drop
-    # order, times the mean gains; an MTD 5 m from its MTA (below the 10 m
+    # the CU gains are the CU stream's variates in drop order times the mean
+    # gains, and each block's race runs at the rates of the MTA stream's
+    # gains, block after block; an MTD 5 m from its MTA (below the 10 m
     # path-loss floor) sees the MTA at the floor distance
     mta = (200.0, 0.0)
     dep = Deployment(mta=mta, mtds=np.array([[200.0, 5.0], [150.0, 60.0], [-80.0, 300.0]]))
     cfg = SimConfig(k=3, n_rb=2, n_drops=7, mtd_power_mode="controlled", seed=11)
-    _, got = _record_chunk(monkeypatch, cfg, dep, 0, False, 2)
+    _, got, races = _record_chunk(monkeypatch, cfg, dep, 0, False, 2)
     floored = np.maximum(dep.mtd_mta_distances(), cfg.min_distance_m)
     assert dep.mtd_mta_distances()[0] == 5.0 and floored[0] == cfg.min_distance_m
     g_mta = linear_gain(floored, cfg.min_distance_m)
     g_bs = linear_gain(dep.mtd_bs_distances(), cfg.min_distance_m)
     mta_draws = montecarlo._generator(cfg.seed, montecarlo._NS_MTA, 0).standard_exponential((7, 3))
-    proj = montecarlo._generator(cfg.seed, montecarlo._NS_PROJECTION, 0)
-    bs_draws = proj.standard_exponential((7, 2, 3))
-    np.testing.assert_array_equal(got["mta"], mta_draws * g_mta)
-    np.testing.assert_array_equal(got["bs"], bs_draws * g_bs)
-    assert got["perms"] is None
+    p_mtd = mtd_power_control(mta_draws * g_mta, cfg.noise_power_w, cfg.i0_w,
+                              cfg.mtd_target_sinr, cfg.p_max_w)
+    assert [r[1] for r in races] == [2, 2, 2, 1]
+    np.testing.assert_array_equal(np.concatenate([r[0] for r in races]), 1.0 / (p_mtd * g_bs))
+    cu = montecarlo._generator(cfg.seed, montecarlo._NS_CU, 0)
+    r = montecarlo.sample_cu_position(cfg, dep.mta, cu, 7)
+    cu_draws = cu.standard_gamma(cfg.antennas, (7, 2))
+    np.testing.assert_array_equal(got["cu"], cu_draws * linear_gain(r)[:, None])
+    assert got["baseline"] is None
 
 
 def test_fixed_power_chunk_has_no_mta_stream(monkeypatch):
-    # fixed MTD power reads no MTD-to-MTA gain; the streams both modes read
-    # are the same, so the modes stay paired
+    # fixed MTD power reads no MTD-to-MTA gain and races at unit power; the
+    # CU gains are the same in both modes, so the modes stay paired there
     cfg = SimConfig(k=30, n_rb=4, n_drops=10)
     dep = sample_deployment(cfg, np.random.default_rng(3))
-    fixed_keys, fixed = _record_chunk(monkeypatch, cfg, dep, 0, False, 4)
+    fixed_keys, fixed, races = _record_chunk(monkeypatch, cfg, dep, 0, False, 4)
     controlled_cfg = replace(cfg, mtd_power_mode="controlled")
-    controlled_keys, controlled = _record_chunk(monkeypatch, controlled_cfg, dep, 0, False, 4)
+    controlled_keys, controlled, _ = _record_chunk(monkeypatch, controlled_cfg, dep, 0, False, 4)
     assert {k[1] for k in fixed_keys} == {montecarlo._NS_CU, montecarlo._NS_PROJECTION}
     assert {k[1] for k in controlled_keys} == {k[1] for k in fixed_keys} | {montecarlo._NS_MTA}
-    assert fixed["mta"] is None and fixed["perms"] is None
-    assert controlled["mta"] is not None
+    assert fixed["baseline"] is None and controlled["baseline"] is None
+    g_bs = linear_gain(dep.mtd_bs_distances(), cfg.min_distance_m)
+    for rates, _, _ in races:
+        np.testing.assert_array_equal(rates, 1.0 / g_bs)
     np.testing.assert_array_equal(fixed["cu"], controlled["cu"])
-    np.testing.assert_array_equal(fixed["bs"], controlled["bs"])
+
+
+def _single_rb_sweep(cfg, powers, ks):
+    """Every drop of a fixed-power single-RB sweep, keyed (power, K), on the
+    sweep's own deployment."""
+    full = sample_deployment(replace(cfg, k=ks[-1]),
+                             montecarlo._generator(cfg.seed, montecarlo._NS_DEPLOYMENT))
+    return {(p, k): montecarlo._run_drops(replace(cfg, k=k, mtd_fixed_power_dbm=p),
+                                          full.subset(k), None)
+            for p in powers for k in ks}
+
+
+def test_fixed_power_race_ignores_the_power():
+    # the race runs at unit power: on one seed every fixed power picks the
+    # same MTD in every drop, so the quieter power leaves every drop's SINR
+    # at least as high, and at -inf dBm the interference is exactly 0
+    powers = (-math.inf, -10.0, 0.0, 10.0)
+    drops = _single_rb_sweep(SimConfig(n_drops=600, n_rb=1), powers, [1, 7, 40])
+    for k in (1, 7, 40):
+        runs = [drops[p, k] for p in powers]
+        assert np.all(runs[0].eff_interference_w == 0.0)
+        for quiet, loud in zip(runs, runs[1:]):
+            np.testing.assert_array_equal(quiet.selected_mtd, loud.selected_mtd)
+            assert np.all(quiet.sinr_db >= loud.sinr_db)
+            assert np.all(quiet.eff_interference_w <= loud.eff_interference_w)
+        assert np.any(runs[2].sinr_db > runs[3].sinr_db)

@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mtc_underlay import cu_power_control, match_assignments, mtd_power_control
+from mtc_underlay.scheduler import Race
 from oracles import (
     Assignment,
     LinkBudget,
+    SortedMatrix,
     build_interference_matrix,
+    holm_rejected,
     match_assignments_loop,
+    match_block,
     match_matrix,
     mrc_weights,
     optimal_assignment_oracle,
@@ -177,15 +181,15 @@ def test_match_rejects_bad_matrices():
         with pytest.raises(ValueError):
             match_matrix(bad)
         with pytest.raises(ValueError):
-            match_assignments(bad[None])
+            match_block(bad[None])
     with pytest.raises(ValueError):
-        match_assignments(np.ones((2, 2)))  # one matrix, not a block
+        match_block(np.ones((2, 2)))  # one matrix, not a block
     with pytest.raises(ValueError):
-        match_assignments(np.ones((2, 2, 2)) * -1.0)
+        match_block(np.ones((2, 2, 2)) * -1.0)
     with pytest.raises(ValueError):
-        match_assignments(np.ones((0, 2, 2)))
+        match_block(np.ones((0, 2, 2)))
     with pytest.raises(ValueError):
-        match_assignments(np.ones((1, 2, 2, 2)))
+        match_block(np.ones((1, 2, 2, 2)))
 
 
 # Small integer levels make value ties (two RBs claiming one MTD at equal
@@ -199,12 +203,97 @@ _blocks = st.tuples(
 @settings(max_examples=400, deadline=None)
 @given(_blocks)
 def test_block_matcher_equals_loop_oracle(block):
-    idx = match_assignments(block)
-    assert idx.shape == block.shape[:2]
+    # the runtime matcher on the sorted-matrix source, drop by drop
+    idx, value = match_assignments(SortedMatrix(block))
+    assert idx.shape == value.shape == block.shape[:2]
+    drops, rbs = np.indices(idx.shape)
+    np.testing.assert_array_equal(
+        value, np.where(idx >= 0, block[drops, rbs, np.maximum(idx, 0)], 0.0)
+    )
     for d, matrix in enumerate(block):
         expected = [-1 if m is None else m for m in match_assignments_loop(matrix).rb_to_mtd]
         assert idx[d].tolist() == expected
         assert match_matrix(matrix).rb_to_mtd == match_assignments_loop(matrix).rb_to_mtd
+
+
+# --- the race: order statistics drawn lazily ------------------------------------
+
+
+def test_race_serves_each_row_in_ascending_order_once_per_mtd():
+    race = Race(np.array([1.0, 0.5, 2.0, 4.0]), 3, 2, np.random.default_rng(0))
+    drop, rb = np.array([0, 2, 1]), np.array([1, 0, 1])
+    served = [race.next(drop, rb) for _ in range(5)]
+    mtds = np.array([m for m, _ in served])
+    values = np.array([v for _, v in served])
+    for row in range(3):
+        assert sorted(mtds[:4, row]) == [0, 1, 2, 3]
+        assert np.all(np.diff(values[:4, row]) > 0) and values[0, row] > 0
+    assert mtds[4].tolist() == [4, 4, 4] and np.all(values[4] == np.inf)  # spent rows
+    m, v = race.next(np.array([0]), np.array([0]))  # an unread row starts afresh
+    assert 0 <= m[0] < 4 and 0 < v[0] < np.inf
+
+
+def test_race_pick_survives_rounding_of_the_cumulative_rates():
+    # once MTD 0 is served, MTD 1's rate is below the rounding of the row's
+    # cumulative rates, so the pick's target lands past the row's end
+    race = Race(np.array([1.0, 1e-20]), 1, 1, np.random.default_rng(0))
+    one = np.array([0])
+    (first,), (v1,) = race.next(one, one)
+    (second,), (v2,) = race.next(one, one)
+    assert (first, second) == (0, 1) and v1 < v2 < np.inf
+    assert race.next(one, one)[0].tolist() == [2]
+
+
+def test_race_values_keep_served_entries_and_extend_the_rest():
+    race = Race(np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]), 2, 2, np.random.default_rng(4))
+    drop, rb = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    mtd, value = race.next(drop, rb)
+    other = (mtd + 1) % 3
+    asked = np.array([[mtd[0], other[1]], [other[2], mtd[3]]])
+    got = race.values(asked, np.random.default_rng(5))
+    assert got[0, 0] == value[0] and got[1, 1] == value[3]
+    assert got[0, 1] > value[1] and got[1, 0] > value[2]
+
+
+#: family-wise error rate of the race's law checks, fixed before any result
+_RACE_ALPHA = 0.05
+
+
+def test_race_follows_the_law_of_the_drawn_matrix():
+    # The race and a drawn matrix of independent Exp(rate) entries, matched
+    # alike, give the same law: the first order statistic is Exp(sum of the
+    # rates) and belongs to MTD k with probability rate_k over that sum; the
+    # matched values and MTDs of every RB and the baseline's entries agree
+    # between the two, with rates shared (K > N) and per drop (K < N, rows
+    # run out). All comparisons form one Holm family.
+    from scipy import stats
+
+    d = 4000
+    rng = np.random.default_rng(21)
+    p_values = {}
+    for case, (n_rb, k, per_drop) in {"shared": (3, 5, False), "per-drop": (4, 3, True)}.items():
+        rates = rng.uniform(0.2, 3.0, (d, k) if per_drop else k)
+        race = Race(rates, d, n_rb, np.random.default_rng(22))
+        first = race.next(np.arange(d), np.zeros(d, dtype=int))
+        total = rates.sum(axis=-1)
+        p_values[case, "first value"] = stats.kstest(first[1] * total, "expon").pvalue
+        if not per_drop:
+            counts = np.bincount(first[0], minlength=k)
+            p_values[case, "first pick"] = stats.chisquare(counts, d * rates / total).pvalue
+        race = Race(rates, d, n_rb, np.random.default_rng(23))
+        matrix = rng.standard_exponential((d, n_rb, k)) / (rates[:, None] if per_drop else rates)
+        perms = np.argsort(rng.random((d, k)), axis=1)[:, :min(n_rb, k)]
+        ours = match_assignments(race) + (race.values(perms, np.random.default_rng(24)),)
+        theirs = match_assignments(SortedMatrix(matrix)) + (
+            np.take_along_axis(matrix[:, :perms.shape[1]], perms[..., None], 2)[..., 0],
+        )
+        for n in range(n_rb):
+            p_values[case, "value", n] = stats.ks_2samp(ours[1][:, n], theirs[1][:, n]).pvalue
+            table = np.array([np.bincount(x[0][:, n] + 1, minlength=k + 1) for x in (ours, theirs)])
+            p_values[case, "mtd", n] = stats.chi2_contingency(table[:, table.sum(0) > 0]).pvalue
+        for n in range(perms.shape[1]):
+            p_values[case, "baseline", n] = stats.ks_2samp(ours[2][:, n], theirs[2][:, n]).pvalue
+    assert not holm_rejected(p_values, _RACE_ALPHA), p_values
 
 
 def test_nested_candidates_never_increase_row_minimum():
