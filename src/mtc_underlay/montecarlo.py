@@ -7,11 +7,11 @@ results are bit-reproducible for any worker count. All of the sampling
 happens in one place, the chunk function ``_run_chunk``: it draws its CU
 positions and gains at its start and then, block by block, the next variates
 from the chunk's streams. A drop draws link gains, not channels, and only
-those its outputs read: the MTD-to-BS interference only as the order
-statistics the matcher reads, MTD-to-MTA gains only under controlled MTD
-power, random-baseline permutations only where the baseline is scored. The
-drop kernel :func:`run_drop` draws nothing: it scores a block of matched
-interference.
+those its outputs read: the MTD-to-BS interference only as the proposals
+the matcher asks for, MTD-to-MTA gains only under controlled MTD power, and
+the random baseline's permutations and interference only where the
+baseline is scored. The drop kernel :func:`run_drop` draws nothing: it
+scores a block of matched interference.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from .scheduler import Race, cu_power_control, match_assignments, mtd_power_cont
 #: draws, in which order. Contract 1 drew antenna-level channels per drop,
 #: contract 2 their sufficient statistics on one substream per drop,
 #: contract 3 the same statistics on one substream per chunk of drops and
-#: purpose, and contract 4 draws the interference only as the order
-#: statistics the matcher reads, block by block (see _run_chunk). Every run
-#: manifest records it.
-RNG_CONTRACT = 4
+#: purpose, contract 4 the interference only as the order statistics the
+#: matcher read, and contract 5 only as its proposals, the random baseline
+#: drawing its own (see _run_chunk). Every run manifest records it.
+RNG_CONTRACT = 5
 
 # substream namespaces under the root seed; a chunk's streams are keyed
 # (seed, namespace, chunk index)
@@ -138,21 +138,22 @@ def _run_chunk(
     config: SimConfig, deployment: Deployment, chunk: int, with_baseline: bool, block: int
 ) -> DropResult:
     """Chunk ``chunk`` of ``config.n_drops`` drops, in blocks of ``block``
-    drops: the whole of RNG contract 4.
+    drops: the whole of RNG contract 5.
 
     The chunk's streams are keyed (seed, namespace, chunk). The CU stream
     draws all of the chunk's CU distances, then its CU gains g_c Gamma(M, 1).
     Then each block, in drop order, draws under controlled power its
     MTD-to-MTA gains g_mta Exp(1) from the MTA stream; matches its RBs on a
     :class:`Race` over the projection stream, the block's MTD-to-BS
-    interference |u^H h_k|^2 p_k ~ Exp(1 / (p_k g_k)) read as order
-    statistics; and, with the baseline, draws one MTD permutation per drop
-    and then the baseline's entries the race did not serve from the baseline
-    stream. Under fixed power the race runs at unit power, so every fixed
-    power picks the same MTDs and the picked values are scaled by p after.
-    The race reads a data-dependent number of variates, so the block
-    partition is part of the contract. Each stream is its own sequence, so a
-    stream a run does not read is never created and moves no other variate.
+    interference |u^H h_k|^2 p_k ~ Exp(1 / (p_k g_k)) drawn as proposals;
+    and, with the baseline, draws one MTD permutation per drop and then
+    p_k g_k Exp(1) for the MTD it puts on each of the first min(N, K) RBs
+    from the baseline stream. Under fixed power the race runs at unit power,
+    so every fixed power picks the same MTDs and the picked values are
+    scaled by p after. The race reads a data-dependent number of variates,
+    so the block partition is part of the contract. Each stream is its own
+    sequence, so a stream a run does not read is never created and moves no
+    other variate.
     """
     n = min(CHUNK_DROPS, config.n_drops - chunk * CHUNK_DROPS)
     n_rb, k, floor = config.n_rb, deployment.n_mtds, config.min_distance_m
@@ -181,13 +182,13 @@ def _run_chunk(
                 config.p_max_w,
             )
             rates = np.reciprocal(np.multiply(p_mtd, g_bs, out=p_mtd), out=p_mtd)
-        race = Race(rates, d, n_rb, projection)
-        selected, value = match_assignments(race)
+        selected, value = match_assignments(Race(rates, d, n_rb, projection))
         base = None
         if with_baseline:
-            perms = baseline.permuted(np.tile(np.arange(k), (d, 1)), axis=1)
+            perms = baseline.permuted(np.tile(np.arange(k), (d, 1)), axis=1)[:, :n_rb]
             base = np.zeros((d, n_rb))
-            base[:, :min(n_rb, k)] = race.values(perms[:, :n_rb], baseline) * scale
+            rate = np.take_along_axis(np.broadcast_to(rates, (d, k)), perms, axis=1)
+            base[:, :perms.shape[1]] = baseline.standard_exponential(perms.shape) * scale / rate
         parts.append(run_drop(config, cu_gain[lo:lo + d], selected, value * scale, base))
     return _concat(parts)
 

@@ -10,9 +10,9 @@ distributions.
 
 ``match_assignments_loop`` is the matching rounds as a Python loop over one
 drop's RBs; ``mtc_underlay.match_assignments`` runs the same rounds on a
-whole block of drops at once, reading each row's order statistics from a
-source, and ``tests/test_scheduler.py`` checks them against each other with
-:class:`SortedMatrix`, the source that serves a given block of matrices.
+whole block of drops at once, asking a source for each row's proposal, and
+``tests/test_scheduler.py`` checks them against each other with
+:class:`SortedMatrix`, the source over a given block of matrices.
 ``match_block`` and ``match_matrix`` are the runtime matcher on that source,
 on a block and on one (N, K) matrix (as an :class:`Assignment`). ``optimal_assignment_oracle``
 enumerates every assignment, the optimum the greedy rounds are measured
@@ -343,11 +343,10 @@ def as_interference_matrix(matrix) -> np.ndarray:
 
 
 class SortedMatrix:
-    """The order-statistic source of ``mtc_underlay.match_assignments`` over a
-    given (D, N, K) block of interference matrices, in nonnegative finite
-    watts: each row is served in ascending order, equal values in ascending
-    MTD index, so the first unclaimed entry served is the row's argmin over
-    its unclaimed MTDs."""
+    """The proposal source of ``mtc_underlay.match_assignments`` over a given
+    (D, N, K) block of interference matrices, in nonnegative finite watts:
+    each row's proposal is its argmin over its drop's unclaimed MTDs, equal
+    values going to the lower MTD index."""
 
     def __init__(self, block):
         m = np.asarray(block, dtype=float)
@@ -356,18 +355,12 @@ class SortedMatrix:
         if not np.all(np.isfinite(m)) or np.any(m < 0):
             raise ValueError("interference matrix entries must be finite and nonnegative")
         self.shape = m.shape
-        self._order = np.argsort(m, axis=2, kind="stable")
-        self._sorted = np.take_along_axis(m, self._order, axis=2)
-        self._served = np.zeros(m.shape[:2], dtype=int)
+        self._block = m
 
-    def next(self, drop, rb):
-        k = self.shape[2]
-        i = self._served[drop, rb]
-        self._served[drop, rb] += 1
-        spent = i >= k
-        i = np.minimum(i, k - 1)
-        return (np.where(spent, k, self._order[drop, rb, i]),
-                np.where(spent, np.inf, self._sorted[drop, rb, i]))
+    def next(self, drop, rb, claimed):
+        rows = np.where(claimed[drop], np.inf, self._block[drop, rb])
+        mtd = np.argmin(rows, axis=1)
+        return mtd, rows[np.arange(mtd.size), mtd]
 
 
 def match_block(block) -> np.ndarray:

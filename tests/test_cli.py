@@ -269,7 +269,7 @@ def test_controlled_mode_from_config_file_rejects_mtd_power(tmp_path, capsys):
 def test_manifest_records_rng_contract(tmp_path):
     out = tmp_path / "run"
     assert _run(["outage", "--out", str(out), "--drops", "5", "--k-values", "1"]) == 0
-    assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 4
+    assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 5
 
 
 class _Killed(BaseException):

@@ -454,7 +454,9 @@ def test_golden_single_rb_csv():
 
 # The two goldens below cover N = 20 with K below, at and above N (random
 # baseline included), and controlled MTD power, where some MTDs' power binds
-# at the cap. All four drop goldens were last written under RNG contract 4.
+# at the cap. The single-RB and outage goldens were last written under RNG
+# contract 4 and hold under contract 5, which draws the same variates on one
+# RB; the throughput golden was last written under contract 5.
 _THROUGHPUT_GOLDEN = (SimConfig(n_drops=200), [5, 20, 50])
 _OUTAGE_GOLDEN = (
     SimConfig(n_drops=300, mtd_power_mode="controlled", delta_th_db=9.5, mtd_target_sinr_db=45.0),
@@ -493,7 +495,7 @@ def test_golden_outage_fixed_csv():
 def test_chunks_and_workers_do_not_change_csv(run):
     # 300 drops make two pool chunks; each chunk's drops are a function of
     # (seed, chunk) alone, so any worker count returns the same CSV (the
-    # block partition within a chunk is part of RNG contract 4)
+    # block partition within a chunk is part of the RNG contract)
     reference = run(1).to_csv_text()
     assert run(2).to_csv_text() == reference
     assert run(3).to_csv_text() == reference

@@ -216,43 +216,64 @@ def test_block_matcher_equals_loop_oracle(block):
         assert match_matrix(matrix).rb_to_mtd == match_assignments_loop(matrix).rb_to_mtd
 
 
-# --- the race: order statistics drawn lazily ------------------------------------
+# --- the race: proposals drawn when asked for ---------------------------------
 
 
 def test_race_serves_each_row_in_ascending_order_once_per_mtd():
+    # three rows of three drops; every round each row's proposal is claimed,
+    # so each row proposes every MTD once, never a claimed one, at values
+    # that strictly increase
     race = Race(np.array([1.0, 0.5, 2.0, 4.0]), 3, 2, np.random.default_rng(0))
     drop, rb = np.array([0, 2, 1]), np.array([1, 0, 1])
-    served = [race.next(drop, rb) for _ in range(5)]
-    mtds = np.array([m for m, _ in served])
-    values = np.array([v for _, v in served])
+    claimed = np.zeros((3, 4), dtype=bool)
+    mtds, values = [], []
+    for _ in range(4):
+        mtd, value = race.next(drop, rb, claimed)
+        assert not claimed[drop, mtd].any()
+        claimed[drop, mtd] = True
+        mtds.append(mtd)
+        values.append(value)
+    mtds, values = np.array(mtds), np.array(values)
     for row in range(3):
-        assert sorted(mtds[:4, row]) == [0, 1, 2, 3]
-        assert np.all(np.diff(values[:4, row]) > 0) and values[0, row] > 0
-    assert mtds[4].tolist() == [4, 4, 4] and np.all(values[4] == np.inf)  # spent rows
-    m, v = race.next(np.array([0]), np.array([0]))  # an unread row starts afresh
-    assert 0 <= m[0] < 4 and 0 < v[0] < np.inf
+        assert sorted(mtds[:, row]) == [0, 1, 2, 3]
+        assert np.all(np.diff(values[:, row]) > 0) and values[0, row] > 0
+    m, v = race.next(np.array([0]), np.array([0]), np.zeros((3, 4), dtype=bool))
+    assert 0 <= m[0] < 4 and 0 < v[0] < np.inf  # a row not yet asked starts afresh
 
 
 def test_race_pick_survives_rounding_of_the_cumulative_rates():
-    # once MTD 0 is served, MTD 1's rate is below the rounding of the row's
-    # cumulative rates, so the pick's target lands past the row's end
-    race = Race(np.array([1.0, 1e-20]), 1, 1, np.random.default_rng(0))
-    one = np.array([0])
-    (first,), (v1,) = race.next(one, one)
-    (second,), (v2,) = race.next(one, one)
-    assert (first, second) == (0, 1) and v1 < v2 < np.inf
-    assert race.next(one, one)[0].tolist() == [2]
+    # once MTD 0 is claimed, every row proposes MTD 1, the only free one; at
+    # 5e-324 (the least double) about half the targets u * rate round up to
+    # the row's end, and the guard puts them on MTD 1
+    for small in (1e-20, 5e-324):
+        race = Race(np.array([1.0, small]), 64, 1, np.random.default_rng(0))
+        rows, rb = np.arange(64), np.zeros(64, dtype=int)
+        claimed = np.zeros((64, 2), dtype=bool)
+        first, v1 = race.next(rows, rb, claimed)
+        assert np.all(first == 0)
+        claimed[:, 0] = True
+        with np.errstate(over="ignore"):  # last + Exp(1) / 5e-324 overflows to inf
+            second, v2 = race.next(rows, rb, claimed)
+        assert np.all(second == 1) and np.all(v2 > v1), small
 
 
-def test_race_values_keep_served_entries_and_extend_the_rest():
-    race = Race(np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]), 2, 2, np.random.default_rng(4))
-    drop, rb = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-    mtd, value = race.next(drop, rb)
-    other = (mtd + 1) % 3
-    asked = np.array([[mtd[0], other[1]], [other[2], mtd[3]]])
-    got = race.values(asked, np.random.default_rng(5))
-    assert got[0, 0] == value[0] and got[1, 1] == value[3]
-    assert got[0, 1] > value[1] and got[1, 0] > value[2]
+def test_race_rows_stop_once_their_drop_is_full():
+    # K < N: a row is asked again only after losing its MTD to another RB, so
+    # no row is asked once all K MTDs of its drop are claimed, and none more
+    # than min(N, K) times
+    n_rb, k, d = 20, 5, 256
+    reads = np.zeros((d, n_rb), dtype=int)
+
+    class Counting(Race):
+        def next(self, drop, rb, claimed):
+            assert np.all(claimed[drop].sum(axis=1) < k)
+            np.add.at(reads, (drop, rb), 1)
+            return super().next(drop, rb, claimed)
+
+    rates = np.random.default_rng(30).uniform(0.2, 3.0, (d, k))
+    selected, _ = match_assignments(Counting(rates, d, n_rb, np.random.default_rng(31)))
+    assert np.all((selected >= 0).sum(axis=1) == k)
+    assert reads.max() <= min(n_rb, k) and np.all(reads >= 1)
 
 
 #: family-wise error rate of the race's law checks, fixed before any result
@@ -261,38 +282,33 @@ _RACE_ALPHA = 0.05
 
 def test_race_follows_the_law_of_the_drawn_matrix():
     # The race and a drawn matrix of independent Exp(rate) entries, matched
-    # alike, give the same law: the first order statistic is Exp(sum of the
-    # rates) and belongs to MTD k with probability rate_k over that sum; the
-    # matched values and MTDs of every RB and the baseline's entries agree
-    # between the two, with rates shared (K > N) and per drop (K < N, rows
-    # run out). All comparisons form one Holm family.
+    # alike, give the same law: the first proposal is Exp(sum of the rates)
+    # and belongs to MTD k with probability rate_k over that sum; the matched
+    # values and MTDs of every RB agree between the two, with rates shared
+    # (K > N, K = N) and per drop (K < N, drops run out of MTDs). All
+    # comparisons form one Holm family.
     from scipy import stats
 
     d = 4000
     rng = np.random.default_rng(21)
     p_values = {}
-    for case, (n_rb, k, per_drop) in {"shared": (3, 5, False), "per-drop": (4, 3, True)}.items():
+    cases = {"shared": (3, 5, False), "square": (4, 4, False), "per-drop": (4, 3, True)}
+    for case, (n_rb, k, per_drop) in cases.items():
         rates = rng.uniform(0.2, 3.0, (d, k) if per_drop else k)
         race = Race(rates, d, n_rb, np.random.default_rng(22))
-        first = race.next(np.arange(d), np.zeros(d, dtype=int))
+        first = race.next(np.arange(d), np.zeros(d, dtype=int), np.zeros((d, k), dtype=bool))
         total = rates.sum(axis=-1)
         p_values[case, "first value"] = stats.kstest(first[1] * total, "expon").pvalue
         if not per_drop:
             counts = np.bincount(first[0], minlength=k)
             p_values[case, "first pick"] = stats.chisquare(counts, d * rates / total).pvalue
-        race = Race(rates, d, n_rb, np.random.default_rng(23))
         matrix = rng.standard_exponential((d, n_rb, k)) / (rates[:, None] if per_drop else rates)
-        perms = np.argsort(rng.random((d, k)), axis=1)[:, :min(n_rb, k)]
-        ours = match_assignments(race) + (race.values(perms, np.random.default_rng(24)),)
-        theirs = match_assignments(SortedMatrix(matrix)) + (
-            np.take_along_axis(matrix[:, :perms.shape[1]], perms[..., None], 2)[..., 0],
-        )
+        ours = match_assignments(Race(rates, d, n_rb, np.random.default_rng(23)))
+        theirs = match_assignments(SortedMatrix(matrix))
         for n in range(n_rb):
             p_values[case, "value", n] = stats.ks_2samp(ours[1][:, n], theirs[1][:, n]).pvalue
             table = np.array([np.bincount(x[0][:, n] + 1, minlength=k + 1) for x in (ours, theirs)])
             p_values[case, "mtd", n] = stats.chi2_contingency(table[:, table.sum(0) > 0]).pvalue
-        for n in range(perms.shape[1]):
-            p_values[case, "baseline", n] = stats.ks_2samp(ours[2][:, n], theirs[2][:, n]).pvalue
     assert not holm_rejected(p_values, _RACE_ALPHA), p_values
 
 
