@@ -14,6 +14,8 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from .config import ConfigError, SimConfig, config_as_dict, parse_config
 from .montecarlo import (
     RNG_CONTRACT,
@@ -180,6 +182,9 @@ def main(argv=None) -> int:
             "workers": args.workers,
             "config": config_as_dict(config),
             "rng_contract": RNG_CONTRACT,
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
             "artifacts": [csv_name],
             "duration_s": round(time.perf_counter() - started, 3),
             **extras,

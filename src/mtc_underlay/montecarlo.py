@@ -40,8 +40,9 @@ from .scheduler import Race, cu_power_control, match_assignments, mtd_power_cont
 #: contract 3 the same statistics on one substream per chunk of drops and
 #: purpose, contract 4 the interference only as the order statistics the
 #: matcher read, and contract 5 only as its proposals, the random baseline
-#: drawing its own (see _run_chunk). Every run manifest records it.
-RNG_CONTRACT = 5
+#: drawing its own (see _run_chunk); contract 6 draws verify_asymptotic's
+#: antenna vectors MTD-major, (re, im) last. Every run manifest records it.
+RNG_CONTRACT = 6
 
 # substream namespaces under the root seed; a chunk's streams are keyed
 # (seed, namespace, chunk index)
@@ -56,7 +57,8 @@ _NS_MTA = 5
 #: i // CHUNK_DROPS, whose substreams it draws from; a chunk is one pool task
 CHUNK_DROPS = 256
 #: most (drop, MTD) entries in one block of drops, a block holding at least
-#: one drop; part of the RNG contract, as the race's variates follow blocks
+#: one drop; part of the RNG contract, as the race's variates follow blocks.
+#: verify_asymptotic's chunk of (sample, MTD) pairs, a memory bound only there
 BLOCK_ENTRIES = 16384
 
 
@@ -138,7 +140,7 @@ def _run_chunk(
     config: SimConfig, deployment: Deployment, chunk: int, with_baseline: bool, block: int
 ) -> DropResult:
     """Chunk ``chunk`` of ``config.n_drops`` drops, in blocks of ``block``
-    drops: the whole of RNG contract 5.
+    drops: all of the RNG contract's drop streams.
 
     The chunk's streams are keyed (seed, namespace, chunk). The CU stream
     draws all of the chunk's CU distances, then its CU gains g_c Gamma(M, 1).
@@ -366,7 +368,10 @@ def verify_asymptotic(config: SimConfig, k_values) -> ExperimentSummary:
     analytic Phi(delta_I) = 1 - exp(-delta_I / g): a projection onto a
     unit-norm direction is g Exp(1). The samples are full antenna vectors, so
     the empirical column is an independent check of that law, on which the
-    drop engine relies.
+    drop engine relies. They come from the (seed, 3) stream: the n serving
+    vectors as standard normals (n, M, 2), then the MTDs as (K, n, M, 2),
+    MTD-major with (re, im) last; consecutive draws equal one larger draw,
+    so the chunk size changes no output.
     """
     config.validate()
     ks = _check_k_values(k_values)
@@ -374,23 +379,23 @@ def verify_asymptotic(config: SimConfig, k_values) -> ExperimentSummary:
     g = float(linear_gain(config.mta_cluster_radius_m, config.min_distance_m))
     rng = _generator(config.seed, _NS_ASYMPTOTIC)
 
-    # serving direction per sample; its own gain cancels in the projection ratio
-    h_c = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2)
+    # serving direction per sample; its own scale cancels in the normalisation
+    h_c = rng.standard_normal((n, m, 2)).view(np.complex128)[..., 0]
     u = np.conj(h_c) / np.linalg.norm(h_c, axis=1, keepdims=True)
 
+    # at most BLOCK_ENTRIES (sample, MTD) pairs per draw, to bound memory;
+    # parts of variance 1 make |u^H h|^2 2 Exp(1), hence the scale g / 2
     running_min = np.full(n, np.inf)
     p_emp = []
-    chunk_cap = max(1, 2_000_000 // n)
+    cap = max(1, BLOCK_ENTRIES // n)
     done = 0
     for k in ks:
         while done < k:
-            c = min(chunk_cap, k - done)
-            h = math.sqrt(g) * (
-                (rng.standard_normal((n, c, m)) + 1j * rng.standard_normal((n, c, m)))
-                / math.sqrt(2)
-            )
-            x = np.abs(np.einsum("sm,scm->sc", u, h)) ** 2
-            running_min = np.minimum(running_min, x.min(axis=1))
+            c = min(cap, k - done)
+            h = rng.standard_normal((c, n, m, 2)).view(np.complex128)[..., 0]
+            x = np.abs(np.einsum("sm,csm->cs", u, h)) ** 2
+            x *= g / 2
+            np.minimum(running_min, x.min(axis=0), out=running_min)
             done += c
         p_emp.append(float(np.mean(running_min < delta)))
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mtc_underlay.cli as cli
@@ -38,6 +39,9 @@ def test_single_rb_writes_csv_and_manifest(tmp_path):
     assert manifest["k_values"] == [1, 3]
     assert manifest["artifacts"] == ["single-rb.csv"]
     assert manifest["duration_s"] >= 0.0
+    assert manifest["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert manifest["numpy"] == np.__version__
+    assert manifest["cpu_count"] == os.cpu_count()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -75,7 +79,8 @@ def test_asymptotic_artifact_and_extras(tmp_path):
 
 
 def test_asymptotic_golden_csv_and_phi(tmp_path):
-    # written by the CLI when it formatted the asymptotic CSV by hand
+    # regenerated for RNG contract 6 (MTD-major draws) once the order statistic
+    # passed criterion 5 and a KS test against Exp(1); phi is analytic, unchanged
     out = tmp_path / "asym"
     rc = _run(["asymptotic", "--out", str(out), "--drops", "2000", "--k-values", "1,10,100"])
     assert rc == 0
@@ -269,7 +274,7 @@ def test_controlled_mode_from_config_file_rejects_mtd_power(tmp_path, capsys):
 def test_manifest_records_rng_contract(tmp_path):
     out = tmp_path / "run"
     assert _run(["outage", "--out", str(out), "--drops", "5", "--k-values", "1"]) == 0
-    assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 5
+    assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 6
 
 
 class _Killed(BaseException):

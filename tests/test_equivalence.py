@@ -98,10 +98,29 @@ def _run_oracle(cfg, deployment, seed, n_drops, with_baseline):
 
 def _z_test_p(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sided p-value of the difference of two sample means, over the
-    standard error of the difference (normal approximation)."""
+    standard error of the difference (normal approximation); 0 when both
+    samples are constant but differ."""
     se = math.sqrt(np.var(a, ddof=1) / a.size + np.var(b, ddof=1) / b.size)
     diff = abs(float(np.mean(a) - np.mean(b)))
-    return 1.0 if diff == 0.0 else math.erfc(diff / se / math.sqrt(2.0))
+    if diff == 0.0:
+        return 1.0
+    return 0.0 if se == 0.0 else math.erfc(diff / se / math.sqrt(2.0))
+
+
+def _compare_samples(kernel: dict, other: dict) -> dict:
+    """p-values keyed by output: KS for ``sinr_db``, a z-test for the rest.
+
+    An output that is one and the same constant in both samples (say, no
+    outage in either engine) is left out: its p is 1 by construction, so it
+    cannot be rejected and would only lower Holm's thresholds for the others.
+    """
+    out = {"sinr_db": float(stats.ks_2samp(kernel["sinr_db"], other["sinr_db"]).pvalue)}
+    for key in sorted(kernel.keys() - {"sinr_db"}):
+        a, b = kernel[key], other[key]
+        if a.min() == a.max() == b.min() == b.max():
+            continue
+        out[key] = _z_test_p(a, b)
+    return out
 
 
 def compare_engines(cfg: SimConfig, deployment, n_drops: int, with_baseline=False,
@@ -117,10 +136,10 @@ def compare_engines(cfg: SimConfig, deployment, n_drops: int, with_baseline=Fals
     computes with its own last-bit rounding. Every other key is
     a two-sided z-test of the difference of per-drop means: ``outage``, the
     per-drop fraction of RBs in outage, ``throughput``, the per-drop sum, and
-    ``baseline``, the random assignment's throughput.
+    ``baseline``, the random assignment's throughput. A z-test whose output
+    is the same constant in both samples is left out (``_compare_samples``).
     """
     n_rb = cfg.n_rb
-    out = {}
     samples = {}
     for name, engine, seed, size in (
         ("kernel", _run_kernel, _KERNEL_SEED, n_drops),
@@ -135,11 +154,7 @@ def compare_engines(cfg: SimConfig, deployment, n_drops: int, with_baseline=Fals
         }
         if with_baseline:
             samples[name]["baseline"] = drops.baseline_throughput_bps
-    kernel, other = samples["kernel"], samples["other"]
-    out["sinr_db"] = float(stats.ks_2samp(kernel["sinr_db"], other["sinr_db"]).pvalue)
-    for key in sorted(kernel.keys() - {"sinr_db"}):
-        out[key] = _z_test_p(kernel[key], other[key])
-    return out
+    return _compare_samples(samples["kernel"], samples["other"])
 
 
 def family_p_values(cases) -> dict:
@@ -178,6 +193,17 @@ def test_holm_rejects_step_down():
     assert holm_rejected({**p, "a": 0.013}, 0.05) == set()
     assert holm_rejected({"a": 0.04, "b": 0.04}, 0.05) == set()
     assert holm_rejected({"a": 0.02, "b": 0.05}, 0.05) == {"a", "b"}
+
+
+def test_constant_outputs_leave_the_family_or_reject():
+    sinr = np.linspace(0.0, 1.0, 50)
+    same = {"sinr_db": sinr, "outage": np.zeros(50), "throughput": sinr + 1.0}
+    # no outage in either sample: p would be 1 by construction, so left out
+    assert set(_compare_samples(same, same)) == {"sinr_db", "throughput"}
+    # constant but different: no spread at all, so the difference rejects
+    p = _compare_samples(same, {**same, "outage": np.ones(50)})
+    assert p["outage"] == 0.0
+    assert _z_test_p(np.zeros(5), np.full(3, 0.5)) == 0.0
 
 
 def test_vector_channel_statistics_follow_kernel_laws():

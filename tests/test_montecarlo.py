@@ -1,6 +1,7 @@
 """Drop mechanics, experiment aggregation, and statistical oracles."""
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -440,6 +441,33 @@ def test_asymptotic_threshold_override_moves_phi():
     low = verify_asymptotic(replace(cfg, delta_i_dbm=-110.0), [1])
     high = verify_asymptotic(replace(cfg, delta_i_dbm=-90.0), [1])
     assert low.manifest["phi_at_delta_i"] < high.manifest["phi_at_delta_i"]
+
+
+@pytest.mark.parametrize("cap", [7, 1200])
+def test_asymptotic_rows_do_not_depend_on_chunk_size(monkeypatch, cap):
+    # 7 pairs is below the 400 samples, so every chunk holds one MTD; 1200
+    # holds three, which divides none of the steps between the K values.
+    # Phi is about 0.04 here, so the rows are far from 0 and 1.
+    cfg = SimConfig(n_drops=400, delta_i_dbm=-90.0)
+    ks = [1, 5, 10, 29]
+    default = verify_asymptotic(cfg, ks).rows
+    monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", cap)
+    assert verify_asymptotic(cfg, ks).rows == default
+
+
+#: traced peak bytes allowed for verify_asymptotic at 1000 samples and K up to
+#: 10^4, fixed before the bound was first checked
+_ASYMPTOTIC_PEAK_BYTES = 16e6
+
+
+def test_asymptotic_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        verify_asymptotic(SimConfig(n_drops=1000), [1, 10_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _ASYMPTOTIC_PEAK_BYTES, peak
 
 
 # --- golden regression -----------------------------------------------------------
