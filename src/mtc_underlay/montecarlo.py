@@ -40,9 +40,11 @@ from .scheduler import Race, cu_power_control, match_assignments, mtd_power_cont
 #: contract 3 the same statistics on one substream per chunk of drops and
 #: purpose, contract 4 the interference only as the order statistics the
 #: matcher read, and contract 5 only as its proposals, the random baseline
-#: drawing its own (see _run_chunk); contract 6 draws verify_asymptotic's
-#: antenna vectors MTD-major, (re, im) last. Every run manifest records it.
-RNG_CONTRACT = 6
+#: drawing its own (see _run_chunk); contract 6 drew verify_asymptotic's
+#: antenna vectors MTD-major, (re, im) last, and contract 7 draws each MTD
+#: only for the samples still above delta_I (see _first_hits). Every run
+#: manifest records it.
+RNG_CONTRACT = 7
 
 # substream namespaces under the root seed; a chunk's streams are keyed
 # (seed, namespace, chunk index)
@@ -57,8 +59,7 @@ _NS_MTA = 5
 #: i // CHUNK_DROPS, whose substreams it draws from; a chunk is one pool task
 CHUNK_DROPS = 256
 #: most (drop, MTD) entries in one block of drops, a block holding at least
-#: one drop; part of the RNG contract, as the race's variates follow blocks.
-#: verify_asymptotic's chunk of (sample, MTD) pairs, a memory bound only there
+#: one drop; part of the RNG contract, as the race's variates follow blocks
 BLOCK_ENTRIES = 16384
 
 
@@ -356,25 +357,16 @@ def experiment_outage(config: SimConfig, k_values, workers: int = 1) -> Experime
     )
 
 
-def verify_asymptotic(config: SimConfig, k_values) -> ExperimentSummary:
-    """Check the min-interference order statistic against its product form.
+def _first_hits(config: SimConfig, max_k: int) -> tuple[np.ndarray, int]:
+    """Each sample's first hit, the first of its MTDs 1, 2, ..., max_k whose
+    projection falls below delta_I (max_k + 1 where none does), and the
+    number of M-antenna vectors drawn.
 
-    With all K MTD channels i.i.d. at one BS distance (the MTD cluster
-    radius), the probability that the quietest MTD projects below delta_I
-    (``config.delta_i_dbm``) on the serving direction obeys
-    P(X_min < delta_I) = 1 - (1 - Phi(delta_I))^K, Phi being the single-MTD
-    CDF. Monte Carlo estimates over ``config.n_drops`` samples (nested prefix
-    minima, hence monotone in K) are returned next to the closed form at the
-    analytic Phi(delta_I) = 1 - exp(-delta_I / g): a projection onto a
-    unit-norm direction is g Exp(1). The samples are full antenna vectors, so
-    the empirical column is an independent check of that law, on which the
-    drop engine relies. They come from the (seed, 3) stream: the n serving
-    vectors as standard normals (n, M, 2), then the MTDs as (K, n, M, 2),
-    MTD-major with (re, im) last; consecutive draws equal one larger draw,
-    so the chunk size changes no output.
+    Draws from the (seed, 3) stream: the n serving vectors as standard
+    normals (n, M, 2), then for MTD j = 1, 2, ... one (live, M, 2) draw for
+    the live samples, those without a hit yet, in sample order; (re, im) last
+    throughout. It stops once no sample is live or j reaches ``max_k``.
     """
-    config.validate()
-    ks = _check_k_values(k_values)
     delta, n, m = config.delta_i_w, config.n_drops, config.antennas
     g = float(linear_gain(config.mta_cluster_radius_m, config.min_distance_m))
     rng = _generator(config.seed, _NS_ASYMPTOTIC)
@@ -383,27 +375,72 @@ def verify_asymptotic(config: SimConfig, k_values) -> ExperimentSummary:
     h_c = rng.standard_normal((n, m, 2)).view(np.complex128)[..., 0]
     u = np.conj(h_c) / np.linalg.norm(h_c, axis=1, keepdims=True)
 
-    # at most BLOCK_ENTRIES (sample, MTD) pairs per draw, to bound memory;
-    # parts of variance 1 make |u^H h|^2 2 Exp(1), hence the scale g / 2.
-    # Once every sample is below delta_I, the running minima only fall, so
-    # every later row is exactly 1.0 and nothing more is drawn.
-    running_min = np.full(n, np.inf)
-    p_emp = []
-    cap = max(1, BLOCK_ENTRIES // n)
-    done = 0
-    for k in ks:
-        while done < k and not np.all(running_min < delta):
-            c = min(cap, k - done)
-            h = rng.standard_normal((c, n, m, 2)).view(np.complex128)[..., 0]
-            x = np.abs(np.einsum("sm,csm->cs", u, h)) ** 2
-            x *= g / 2
-            np.minimum(running_min, x.min(axis=0), out=running_min)
-            done += c
-        p_emp.append(float(np.mean(running_min < delta)))
+    # parts of variance 1 make |u^H h|^2 2 Exp(1), hence the scale g / 2
+    first = np.full(n, max_k + 1)
+    live = np.arange(n)
+    drawn = n
+    for j in range(1, max_k + 1):
+        h = rng.standard_normal((live.size, m, 2)).view(np.complex128)[..., 0]
+        drawn += live.size
+        x = np.abs(np.einsum("sm,sm->s", u, h)) ** 2
+        x *= g / 2
+        hit = x < delta
+        if hit.any():
+            first[live[hit]] = j
+            live, u = live[~hit], u[~hit]
+            if not live.size:
+                break
+    return first, drawn
 
-    phi = -math.expm1(-delta / g)
+
+def _wilson_interval(successes: int, n: int, z: float = 1.96) -> list[float]:
+    """Wilson's score interval for a binomial proportion (Wilson, JASA 22,
+    1927), at ``z`` standard errors: 95 % by default. The upper end is one
+    less the lower end of the failures, so no success gives exactly 0 below
+    and all successes exactly 1 above."""
+
+    def lower(x):
+        return max(0.0, (x + z * z / 2 - z * math.sqrt(x * (n - x) / n + z * z / 4)) / (n + z * z))
+
+    return [lower(successes), 1.0 - lower(n - successes)]
+
+
+def verify_asymptotic(config: SimConfig, k_values) -> ExperimentSummary:
+    """Check the min-interference order statistic against its product form.
+
+    With all K MTD channels i.i.d. at one BS distance (the MTD cluster
+    radius), the probability that the quietest MTD projects below delta_I
+    (``config.delta_i_dbm``) on the serving direction obeys
+    P(X_min < delta_I) = 1 - (1 - Phi(delta_I))^K, Phi being the single-MTD
+    CDF. Monte Carlo estimates over ``config.n_drops`` samples are returned
+    next to the closed form at the analytic Phi(delta_I) = 1 - exp(-delta_I /
+    g): a projection onto a unit-norm direction is g Exp(1). The samples are
+    full antenna vectors, so the empirical column is an independent check of
+    that law, on which the drop engine relies.
+
+    A sample's minimum over its first K MTDs is below delta_I exactly when its
+    first hit T (:func:`_first_hits`) is at most K, so the estimate is the
+    share of samples with T <= K, monotone in K. Once a sample has hit, no
+    later MTD of it can change a row, so it draws no more, and the draws stop
+    at the last first hit or the largest K. The manifest records the last MTD
+    drawn (``mtds_drawn``), the antenna vectors drawn, serving vectors
+    included (``antenna_vectors_drawn``), and a Wilson 95 % interval per K
+    (``p_empirical_ci95``).
+    """
+    config.validate()
+    ks = _check_k_values(k_values)
+    n = config.n_drops
+    first, drawn = _first_hits(config, ks[-1])
+    hits = [int(np.count_nonzero(first <= k)) for k in ks]
+    g = float(linear_gain(config.mta_cluster_radius_m, config.min_distance_m))
+    phi = -math.expm1(-config.delta_i_w / g)
     return ExperimentSummary(
         columns=["k", "p_empirical", "p_closed_form"],
-        rows=[(k, p, 1.0 - (1.0 - phi) ** k) for k, p in zip(ks, p_emp)],
-        manifest={"phi_at_delta_i": phi},
+        rows=[(k, h / n, 1.0 - (1.0 - phi) ** k) for k, h in zip(ks, hits)],
+        manifest={
+            "phi_at_delta_i": phi,
+            "mtds_drawn": min(int(first.max()), ks[-1]),
+            "antenna_vectors_drawn": drawn,
+            "p_empirical_ci95": [_wilson_interval(h, n) for h in hits],
+        },
     )

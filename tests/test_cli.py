@@ -76,11 +76,22 @@ def test_asymptotic_artifact_and_extras(tmp_path):
     assert len(lines) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert 0.0 < manifest["phi_at_delta_i"] < 1.0
+    # the run explains itself: the last MTD drawn, the antenna vectors drawn,
+    # serving vectors included, and a Wilson 95 % interval per K
+    assert 1 <= manifest["mtds_drawn"] <= 5
+    assert 400 + 400 <= manifest["antenna_vectors_drawn"] <= 400 + 5 * 400
+    ci = manifest["p_empirical_ci95"]
+    assert len(ci) == 2 and all(len(pair) == 2 for pair in ci)
+    for row, (lo, hi) in zip(lines[1:], ci):
+        assert lo <= float(row.split(",")[1]) <= hi
 
 
 def test_asymptotic_golden_csv_and_phi(tmp_path):
-    # regenerated for RNG contract 6 (MTD-major draws) once the order statistic
-    # passed criterion 5 and a KS test against Exp(1); phi is analytic, unchanged
+    # regenerated for RNG contract 7 (each MTD drawn only for the samples still
+    # above delta_I) once the rows passed criterion 5, a chi-square test of the
+    # first hits against Geometric(Phi), a KS test of the MTD-1 projections
+    # against Exp(1) and per-K two-proportion z tests against contract 6 at
+    # 10^4 samples; phi is analytic, unchanged
     out = tmp_path / "asym"
     rc = _run(["asymptotic", "--out", str(out), "--drops", "2000", "--k-values", "1,10,100"])
     assert rc == 0
@@ -274,7 +285,7 @@ def test_controlled_mode_from_config_file_rejects_mtd_power(tmp_path, capsys):
 def test_manifest_records_rng_contract(tmp_path):
     out = tmp_path / "run"
     assert _run(["outage", "--out", str(out), "--drops", "5", "--k-values", "1"]) == 0
-    assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 6
+    assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 7
 
 
 class _Killed(BaseException):

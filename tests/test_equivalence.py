@@ -26,7 +26,10 @@ Run as a script for the paper-scale comparison (10^4 drops per engine at the
 CLI's default K sweeps of ``single-rb`` and ``throughput``; a few minutes),
 against the vector-channel engine or, with ``--against DIR``, against the
 ``_run_drops`` of the package in ``DIR/src``, for example another commit
-unpacked with ``git archive``:
+unpacked with ``git archive``. Against another package the family also holds
+one two-proportion z test per K of ``verify_asymptotic`` at 10^4 samples and
+the CLI's default ``asymptotic`` K sweep, the rows that read 1.0 in both
+packages left out as constant outputs:
 
     PYTHONPATH=src python tests/test_equivalence.py
     PYTHONPATH=src python tests/test_equivalence.py --against DIR
@@ -48,7 +51,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mtc_underlay import DropResult, SimConfig, sample_deployment
+from mtc_underlay import DropResult, SimConfig, sample_deployment, verify_asymptotic
 from mtc_underlay.montecarlo import _NS_DEPLOYMENT, _concat, _generator, _run_drops
 from oracles import holm_rejected, run_drop_vector, vector_channel_statistics
 
@@ -105,6 +108,30 @@ def _z_test_p(a: np.ndarray, b: np.ndarray) -> float:
     if diff == 0.0:
         return 1.0
     return 0.0 if se == 0.0 else math.erfc(diff / se / math.sqrt(2.0))
+
+
+def _two_proportion_p(x1: int, n1: int, x2: int, n2: int) -> float:
+    """Two-sided p-value of the pooled two-proportion z test of x1 of n1
+    against x2 of n2 successes; 1 when the proportions are equal."""
+    diff = abs(x1 / n1 - x2 / n2)
+    if diff == 0.0:
+        return 1.0
+    pooled = (x1 + x2) / (n1 + n2)
+    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+    return math.erfc(diff / se / math.sqrt(2.0))
+
+
+def _compare_asymptotic(ours: list, theirs: list, n: int) -> dict:
+    """p-values keyed by K of two ``verify_asymptotic`` row lists over ``n``
+    samples each: a two-proportion z test of p_empirical per K. A row that
+    reads the same 0 or 1 in both is left out, as in ``_compare_samples``."""
+    out = {}
+    for (k, a, _), (k_other, b, _) in zip(ours, theirs, strict=True):
+        assert k == k_other, (k, k_other)
+        if a == b and a in (0.0, 1.0):
+            continue
+        out[k] = _two_proportion_p(round(a * n), n, round(b * n), n)
+    return out
 
 
 def _compare_samples(kernel: dict, other: dict) -> dict:
@@ -206,6 +233,16 @@ def test_constant_outputs_leave_the_family_or_reject():
     assert _z_test_p(np.zeros(5), np.full(3, 0.5)) == 0.0
 
 
+def test_asymptotic_rows_read_one_leave_the_family():
+    ours = [(1, 0.004, 0.0), (100, 0.33, 0.0), (10000, 1.0, 1.0)]
+    p = _compare_asymptotic(ours, ours, 1000)
+    assert p == {1: 1.0, 100: 1.0}  # the row at 1.0 in both leaves the family
+    p = _compare_asymptotic(ours, [(1, 0.004, 0.0), (100, 0.40, 0.0), (10000, 0.99, 1.0)], 1000)
+    assert set(p) == {1, 100, 10000} and p[100] < 0.01
+    # 30 of 100 against 40 of 100: pooled 0.35, z = 0.1 / sqrt(0.35 * 0.65 / 50) = 1.4825
+    assert _two_proportion_p(30, 100, 40, 100) == pytest.approx(0.1382, abs=1e-4)
+
+
 def test_vector_channel_statistics_follow_kernel_laws():
     # ||h_c||^2 / g_c ~ Gamma(M, 1) and |u^H h_k|^2 / g_k ~ Exp(1), as drawn
     # by the oracle's own antenna-level channels and unit-norm MRC combiner
@@ -238,6 +275,24 @@ np.savez(a["out"], **{k: v for k, v in vars(d).items() if v is not None})
 """
 
 
+#: prints, as JSON, the rows of ``verify_asymptotic`` of the package on its
+#: path; its argument is a JSON object of the config and the K values
+_OTHER_ASYMPTOTIC = """
+import json, sys
+from mtc_underlay import SimConfig, verify_asymptotic
+a = json.loads(sys.argv[1])
+print(json.dumps(verify_asymptotic(SimConfig(**a["config"]), a["k_values"]).rows))
+"""
+
+
+def _run_in_tree(src: Path, script: str, arg: dict) -> str:
+    """Standard output of ``script`` run with ``arg`` as JSON in a fresh
+    interpreter that imports the package in ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", script, json.dumps(arg)], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def _tree_engine(src: Path):
     """An engine running ``_run_drops`` of the package in ``src``, in a
     fresh interpreter, on the deployment it is given."""
@@ -245,20 +300,30 @@ def _tree_engine(src: Path):
     def run(cfg, deployment, seed, n_drops, with_baseline):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "drops.npz"
-            point = {
+            _run_in_tree(src, _OTHER_TREE, {
                 "config": asdict(replace(cfg, seed=seed, n_drops=n_drops)),
                 "mta": list(deployment.mta),
                 "mtds": deployment.mtds.tolist(),
                 "with_baseline": with_baseline,
                 "out": str(out),
-            }
-            env = dict(os.environ, PYTHONPATH=str(src))
-            subprocess.run([sys.executable, "-c", _OTHER_TREE, json.dumps(point)], env=env,
-                           check=True)
+            })
             with np.load(out) as data:
                 return DropResult(**{k: data[k] for k in data.files})
 
     return run
+
+
+def _paper_asymptotic(src: Path, n: int) -> dict:
+    """``verify_asymptotic`` here against the package in ``src`` at ``n``
+    samples and the CLI's default K sweep; prints the p-values and returns
+    them keyed ("asymptotic", K, "p_empirical")."""
+    ks = [1, 2, 5, 10, 100, 1000, 10000]
+    ours = verify_asymptotic(SimConfig(seed=_KERNEL_SEED, n_drops=n), ks).rows
+    config = asdict(SimConfig(seed=_ORACLE_SEED, n_drops=n))
+    theirs = json.loads(_run_in_tree(src, _OTHER_ASYMPTOTIC, {"config": config, "k_values": ks}))
+    p_values = _compare_asymptotic(ours, theirs, n)
+    print("asymptotic: " + "; ".join(f"K={k} p={p:.3f}" for k, p in p_values.items()), flush=True)
+    return {("asymptotic", k, "p_empirical"): p for k, p in p_values.items()}
 
 
 def _paper_scale(n_drops: int, other=_run_oracle) -> dict:
@@ -284,8 +349,12 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="DIR", type=Path,
                         help="compare with the engine in DIR/src, not the vector-channel engine")
     args = parser.parse_args(argv)
-    other = _run_oracle if args.against is None else _tree_engine(args.against.resolve() / "src")
-    family = _paper_scale(_PAPER_DROPS, other)
+    if args.against is None:
+        family = _paper_scale(_PAPER_DROPS)
+    else:
+        src = args.against.resolve() / "src"
+        family = _paper_scale(_PAPER_DROPS, _tree_engine(src))
+        family.update(_paper_asymptotic(src, _PAPER_DROPS))
     rejected = holm_rejected(family, _ALPHA)
     print(f"Holm at family-wise level {_ALPHA} over {len(family)} comparisons: "
           + ("no rejection" if not rejected else "rejected " + ", ".join(

@@ -443,16 +443,108 @@ def test_asymptotic_threshold_override_moves_phi():
     assert low.manifest["phi_at_delta_i"] < high.manifest["phi_at_delta_i"]
 
 
-@pytest.mark.parametrize("cap", [7, 1200])
-def test_asymptotic_rows_do_not_depend_on_chunk_size(monkeypatch, cap):
-    # 7 pairs is below the 400 samples, so every chunk holds one MTD; 1200
-    # holds three, which divides none of the steps between the K values.
-    # Phi is about 0.04 here, so the rows are far from 0 and 1.
+#: level of the first-hit chi-square test and the MTD-1 KS test, fixed before
+#: any result
+_FIRST_HIT_ALPHA = 1e-3
+
+
+def test_asymptotic_first_hits_follow_the_geometric_law():
+    # a sample's first hit T is the first of i.i.d. trials that each succeed
+    # with probability Phi, so T ~ Geometric(Phi) exactly. Ten bins fixed in
+    # advance, at the deciles of that law; the last is open, and holds the
+    # samples without a hit by max K (T = max K + 1), P(T > 10^4) ~ 5e-18
+    cfg = SimConfig(n_drops=5000)
+    first, _ = montecarlo._first_hits(cfg, 10_000)
+    phi = verify_asymptotic(replace(cfg, n_drops=1), [1]).manifest["phi_at_delta_i"]
+    edges = [math.ceil(math.log1p(-q / 10) / math.log1p(-phi)) for q in range(1, 10)]
+    cdf = [0.0] + [-math.expm1(t * math.log1p(-phi)) for t in edges] + [1.0]
+    observed = np.bincount(np.searchsorted(edges, first), minlength=10)
+    expected = cfg.n_drops * np.diff(cdf)
+    assert observed.sum() == cfg.n_drops
+    from scipy import stats
+
+    p = stats.chisquare(observed, expected).pvalue
+    assert p > _FIRST_HIT_ALPHA, (p, observed, expected)
+
+
+def test_asymptotic_mtd_one_projections_are_exponential():
+    # rebuilt from the documented (seed, 3) stream: the serving vectors, then
+    # MTD 1 for every sample, as standard normals (n, M, 2), (re, im) last.
+    # A projection over g, |w^H h|^2 / 2 with parts of variance 1, is Exp(1),
+    # and the samples whose projection is below delta_I are those hit at 1.
+    cfg = SimConfig(n_drops=5000)
+    n, m = cfg.n_drops, cfg.antennas
+    rng = montecarlo._generator(cfg.seed, montecarlo._NS_ASYMPTOTIC)
+    h_c = rng.standard_normal((n, m, 2)).view(np.complex128)[..., 0]
+    h_1 = rng.standard_normal((n, m, 2)).view(np.complex128)[..., 0]
+    w = h_c / np.linalg.norm(h_c, axis=1, keepdims=True)
+    x = np.abs(np.sum(np.conj(w) * h_1, axis=1)) ** 2 / 2
+    from scipy import stats
+
+    assert stats.kstest(x, "expon").pvalue > _FIRST_HIT_ALPHA
+    g = linear_gain(cfg.mta_cluster_radius_m)
+    first, drawn = montecarlo._first_hits(cfg, 1)
+    assert np.array_equal(first == 1, x * g < cfg.delta_i_w)
+    assert drawn == 2 * n
+
+
+def test_asymptotic_stops_drawing_once_every_sample_has_hit(monkeypatch):
+    # Phi is about 0.04 here, so all 400 samples hit long before K = 10^4:
+    # the rows from the last first hit on are exactly 1.0, and after the
+    # serving vectors the stream draws once per MTD up to that hit, each
+    # time for the samples still live, never more
     cfg = SimConfig(n_drops=400, delta_i_dbm=-90.0)
-    ks = [1, 5, 10, 29]
-    default = verify_asymptotic(cfg, ks).rows
-    monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", cap)
-    assert verify_asymptotic(cfg, ks).rows == default
+    first, _ = montecarlo._first_hits(cfg, 10_000)
+    shapes = []
+    generator = montecarlo._generator
+
+    class Recording:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def standard_normal(self, shape):
+            shapes.append(shape)
+            return self._rng.standard_normal(shape)
+
+    monkeypatch.setattr(montecarlo, "_generator", lambda *key: Recording(generator(*key)))
+    res = verify_asymptotic(cfg, [1, 5, 29, 1000, 10_000])
+    last = res.manifest["mtds_drawn"]
+    assert 29 < last < 1000 and last == first.max()
+    assert [p for _, p, _ in res.rows][-2:] == [1.0, 1.0]
+    assert shapes[0] == (400, cfg.antennas, 2)
+    live = [s[0] for s in shapes[1:]]
+    assert live == [int(np.sum(first >= j)) for j in range(1, last + 1)]
+    assert live[0] == 400 and live[-1] >= 1
+    assert res.manifest["antenna_vectors_drawn"] == 400 + sum(live)
+    # the other stop: the largest K, with samples still live
+    shapes.clear()
+    res = verify_asymptotic(cfg, [1, 5])
+    assert res.manifest["mtds_drawn"] == 5 and len(shapes) == 6
+
+
+def test_wilson_interval_hand_computed():
+    # z = 1.96, n = 20: 3 successes give (0.15 + 0.09604 -+ 0.183613) / 1.19208
+    assert montecarlo._wilson_interval(3, 20) == pytest.approx([0.052368, 0.360423], abs=1e-6)
+    assert montecarlo._wilson_interval(0, 20) == pytest.approx([0.0, 0.161130], abs=1e-6)
+    assert montecarlo._wilson_interval(20, 20)[1] == 1.0
+    assert montecarlo._wilson_interval(0, 20)[0] == 0.0
+
+
+def test_asymptotic_manifest_explains_the_run():
+    # the last MTD drawn is the last first hit, or the largest K where a
+    # sample is still live; a sample draws its MTDs 1 .. min(T, max K), and
+    # every sample a serving vector; one Wilson interval per K
+    cfg = SimConfig(n_drops=20, delta_i_dbm=-90.0)
+    ks = [1, 10, 40]
+    res = verify_asymptotic(cfg, ks)
+    first, _ = montecarlo._first_hits(cfg, ks[-1])
+    hits = [int(np.sum(first <= k)) for k in ks]
+    assert [p for _, p, _ in res.rows] == [h / 20 for h in hits]
+    assert res.manifest["mtds_drawn"] == min(int(first.max()), ks[-1])
+    assert res.manifest["antenna_vectors_drawn"] == 20 + int(np.minimum(first, ks[-1]).sum())
+    assert res.manifest["p_empirical_ci95"] == [montecarlo._wilson_interval(h, 20) for h in hits]
+    for (_, p, _), (lo, hi) in zip(res.rows, res.manifest["p_empirical_ci95"]):
+        assert 0.0 <= lo <= p <= hi <= 1.0
 
 
 #: traced peak bytes allowed for verify_asymptotic at 1000 samples and K up to
