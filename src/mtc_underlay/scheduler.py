@@ -72,6 +72,9 @@ class Race:
         rates = np.asarray(rates, dtype=float)
         self.shape = (n_drops, n_rb, rates.shape[-1])
         self._rates = np.broadcast_to(rates, (n_drops, rates.shape[-1]))
+        # rates shared by every drop: one cumulative serves each drop with
+        # nothing claimed yet
+        self._shared_cum = rates.cumsum() if rates.ndim == 1 else None
         self._rng = rng
         self._last = np.zeros((n_drops, n_rb))
 
@@ -81,6 +84,25 @@ class Race:
         k = self.shape[2]
         e = self._rng.standard_exponential(drop.size)
         u = self._rng.random(drop.size)
+        if self._shared_cum is None:
+            pick, free = self._search(drop, u, claimed)
+        else:
+            own = claimed.any(axis=1)[drop]  # rows whose drop has a claimed MTD
+            pick = self._shared_cum.searchsorted(u * self._shared_cum[-1], side="right")
+            free = np.full(drop.size, self._shared_cum[-1])
+            if own.any():
+                pick[own], free[own] = self._search(drop[own], u[own], claimed)
+        end = np.flatnonzero(pick == k)
+        if end.size:  # a target rounded to the row's end: its last free MTD
+            pick[end] = k - 1 - np.argmin(claimed[drop[end], ::-1], axis=1)
+        value = self._last[drop, rb] + e / free
+        self._last[drop, rb] = value
+        return pick, value
+
+    def _search(self, drop, u, claimed):
+        """Each row's pick (k where the target rounds to its row's end) and
+        free rate, from a cumulative of its drop's free rates."""
+        k = self.shape[2]
         at, row = np.unique(drop, return_inverse=True)  # the drops asked
         # the i-th drop asked has keys i + 1j * (its cumulative free rates),
         # filled in place. numpy orders complex numbers by real part, then
@@ -94,13 +116,8 @@ class Race:
         cum.cumsum(axis=1, out=cum)
         key.real = np.arange(at.size)[:, None]
         free = cum[row, -1]
-        value = self._last[drop, rb] + e / free
         pick = key.ravel().searchsorted(row + 1j * (u * free), side="right") - row * k
-        end = np.flatnonzero(pick == k)
-        if end.size:  # a target rounded to the row's end: its last free MTD
-            pick[end] = k - 1 - np.argmin(claimed[drop[end], ::-1], axis=1)
-        self._last[drop, rb] = value
-        return pick, value
+        return pick, free
 
 
 def mtd_power_control(gain, n0, i0, target_sinr, p_max):

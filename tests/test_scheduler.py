@@ -257,6 +257,33 @@ def test_race_pick_survives_rounding_of_the_cumulative_rates():
         assert np.all(second == 1) and np.all(v2 > v1), small
 
 
+def test_race_shared_rates_search_as_per_drop_rates_do():
+    # rates shared by every drop, (K,), search one cumulative for drops with
+    # nothing claimed; the same rates given per drop, (D, K), build each
+    # drop's own. Picks and values must be equal, bit for bit: on a
+    # first call, over a whole matching, and where a target u * free rounds
+    # up to the row's end (at two rates of 5e-324, u >= 3/4 does), so the
+    # guard picks the last MTD.
+    d, n_rb = 64, 3
+    for rates in (np.random.default_rng(40).uniform(0.2, 3.0, 1000), np.full(2, 5e-324)):
+        k = rates.size
+        fresh = np.zeros((d, k), dtype=bool)
+        rows, rb = np.repeat(np.arange(d), n_rb), np.tile(np.arange(n_rb), d)
+        with np.errstate(over="ignore", divide="ignore"):  # Exp(1) / 1e-323 is inf
+            shared = Race(rates, d, n_rb, np.random.default_rng(41)).next(rows, rb, fresh)
+            own = Race(np.tile(rates, (d, 1)), d, n_rb, np.random.default_rng(41)).next(
+                rows, rb, fresh)
+            assert np.array_equal(shared[0], own[0]) and np.array_equal(shared[1], own[1])
+            matched = [match_assignments(Race(r, d, n_rb, np.random.default_rng(42)))
+                       for r in (rates, np.tile(rates, (d, 1)))]
+        assert np.array_equal(matched[0][0], matched[1][0])
+        assert np.array_equal(matched[0][1], matched[1][1])
+    rng = np.random.default_rng(41)
+    rng.standard_exponential(d * n_rb)
+    targets = rng.random(d * n_rb) * 1e-323
+    assert np.any(targets == 1e-323) and np.all(shared[0][targets == 1e-323] == 1)
+
+
 def test_race_rows_stop_once_their_drop_is_full():
     # K < N: a row is asked again only after losing its MTD to another RB, so
     # no row is asked once all K MTDs of its drop are claimed, and none more
