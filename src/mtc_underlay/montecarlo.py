@@ -393,11 +393,11 @@ def _first_hits(config: SimConfig, max_k: int) -> tuple[np.ndarray, int]:
     return first, drawn
 
 
-def _wilson_interval(successes: int, n: int, z: float = 1.96) -> list[float]:
-    """Wilson's score interval for a binomial proportion (Wilson, JASA 22,
-    1927), at ``z`` standard errors: 95 % by default. The upper end is one
-    less the lower end of the failures, so no success gives exactly 0 below
-    and all successes exactly 1 above."""
+def _wilson_interval(successes: int, n: int) -> list[float]:
+    """Wilson's 95 % score interval for a binomial proportion (Wilson, JASA
+    22, 1927). The upper end is one less the lower end of the failures, so no
+    success gives exactly 0 below and all successes exactly 1 above."""
+    z = 1.96
 
     def lower(x):
         return max(0.0, (x + z * z / 2 - z * math.sqrt(x * (n - x) / n + z * z / 4)) / (n + z * z))

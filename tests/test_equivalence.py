@@ -290,7 +290,7 @@ def _run_in_tree(src: Path, script: str, arg: dict) -> str:
     interpreter that imports the package in ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-c", script, json.dumps(arg)], env=env, check=True,
-                          capture_output=True, text=True).stdout
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def _tree_engine(src: Path):
