@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mtd-power-dbm", type=_float_list, metavar="P1,P2,...",
                        help="fixed-mode MTD TX power sweep (single-rb) or value")
         p.add_argument("--workers", type=_positive_int, default=1,
-                       help="process count (results are worker-count invariant)")
+                       help="process count, at most one per chunk of drops (results "
+                       "are worker-count invariant; above 1 needs POSIX fork)")
     return parser
 
 

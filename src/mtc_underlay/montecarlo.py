@@ -2,25 +2,27 @@
 
 One *drop* is a single channel/CU-position realization on a fixed deployment.
 Drops come in chunks of CHUNK_DROPS consecutive drops, and each chunk owns one
-RNG substream per purpose, keyed by (seed, namespace, chunk index) only, so
-results are bit-reproducible for any worker count. All of the sampling
-happens in one place, the chunk function ``_run_chunk``: it draws its CU
-positions and gains at its start and then, block by block, the next variates
-from the chunk's streams. A drop draws link gains, not channels, and only
-those its outputs read: the MTD-to-BS interference only as the proposals
-the matcher asks for, MTD-to-MTA gains only under controlled MTD power, and
-the random baseline's permutations and interference only where the
-baseline is scored. The drop kernel :func:`run_drop` draws nothing: it
-scores a block of matched interference.
+RNG substream per purpose, keyed by (seed, namespace, chunk index) only. A
+sweep's forked processes share the chunks out and the parent puts them back
+in drop order, so results are bit-reproducible for any worker count. All of
+the sampling happens in one place, the chunk function ``_run_chunk``: it
+draws its CU positions and gains at its start and then, block by block, the
+next variates from the chunk's streams. A drop draws link gains, not
+channels, and only those its outputs read: the MTD-to-BS interference only
+as the proposals the matcher asks for, MTD-to-MTA gains only under
+controlled MTD power, and the random baseline's permutations and
+interference only where the baseline is scored. The drop kernel
+:func:`run_drop` draws nothing: it scores a block of matched interference.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from contextlib import nullcontext
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, fields, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -56,7 +58,8 @@ _NS_PROJECTION = 4
 _NS_MTA = 5
 
 #: drops per chunk, part of the RNG contract: drop i belongs to chunk
-#: i // CHUNK_DROPS, whose substreams it draws from; a chunk is one pool task
+#: i // CHUNK_DROPS, whose substreams it draws from; the unit that a sweep's
+#: processes share out (see _sweep)
 CHUNK_DROPS = 256
 #: most (drop, MTD) entries in one block of drops, a block holding at least
 #: one drop; part of the RNG contract, as the race's variates follow blocks
@@ -133,7 +136,7 @@ def run_drop(config: SimConfig, cu_gain, selected, interference, baseline=None) 
 
 
 # ---------------------------------------------------------------------------
-# drop execution (serial or process pool)
+# drop execution (serial or sharded over forked processes)
 # ---------------------------------------------------------------------------
 
 
@@ -198,45 +201,101 @@ def _run_chunk(
 
 def _concat(parts: list[DropResult]) -> DropResult:
     """One DropResult from consecutive blocks, in order."""
+    if len(parts) == 1:
+        return parts[0]
     cols = {f.name: [getattr(p, f.name) for p in parts] for f in fields(DropResult)}
     return DropResult(**{n: None if c[0] is None else np.concatenate(c) for n, c in cols.items()})
 
 
-def _pool(workers: int):
-    """A process pool for a whole experiment; None (serial) at one worker."""
-    if not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    if workers == 1:
-        return nullcontext()
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
-
-
-def _run_drops(config: SimConfig, deployment: Deployment, pool, with_baseline=False) -> DropResult:
-    """All ``config.n_drops`` drops of one sweep point, chunk by chunk in drop
-    order, serially or one chunk per pool task."""
-    # sized here and sent with each task, so every worker uses the same blocks
+def _run_drops(config: SimConfig, deployment: Deployment, chunks=None, with_baseline=False):
+    """Drops of one sweep point, serially: its chunks in ``chunks`` (all of
+    them by default), concatenated in that order."""
+    if chunks is None:
+        chunks = range(-(-config.n_drops // CHUNK_DROPS))
+    # sized per point, so every process cuts a chunk into the same blocks
     block = max(1, BLOCK_ENTRIES // deployment.n_mtds)
-    chunks = range(-(-config.n_drops // CHUNK_DROPS))
-    args = repeat(config), repeat(deployment), chunks, repeat(with_baseline), repeat(block)
-    return _concat(list((map if pool is None else pool.map)(_run_chunk, *args)))
+    return _concat([_run_chunk(config, deployment, c, with_baseline, block) for c in chunks])
 
 
-def _sweep(points: list[SimConfig], row, workers: int = 1, with_baseline=False) -> list[tuple]:
+def _fork(items) -> tuple[int, object]:
+    """Fork a child that pickles each item of the iterator ``items`` into a
+    pipe, or the exception that stops it, and exits; returns its pid and the
+    pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            with open(write, "wb") as out:
+                try:
+                    for item in items:
+                        pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+                except BaseException as exc:  # noqa: BLE001 - re-raised by the parent
+                    pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _receive(pipe):
+    """The next item a child sent; an exception it sent is raised."""
+    try:
+        item = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError("a worker process died before sending its chunks") from None
+    if isinstance(item, BaseException):
+        raise item
+    return item
+
+
+def _sweep(points: list[SimConfig], row, columns, workers=1, with_baseline=False):
     """Run every sweep point's drops and reduce them to the point's table row.
 
     ``points`` are configs in ascending K. One deployment is sampled at the
     largest K from the (seed, 0) substream and sliced per point, so larger K
-    means a strictly richer selection pool; one pool serves every point.
-    ``row(point, drops)`` is applied as soon as a point's drops return, so one
-    point's drops are held at a time.
+    means a strictly richer selection pool. Then W = min(``workers``, the
+    largest point's chunk count) processes share the chunks out: the parent
+    is process 0 and forks W - 1 children once; process w runs chunks w,
+    w + W, ... of every point, and each child sends the parent one pickle per
+    point. The parent puts a point's chunks back in order and applies
+    ``row(point, drops)`` at once, so one point's drops are held at a time.
+    The manifest records W as ``processes``.
     """
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise RuntimeError("more than one worker needs POSIX fork, which this platform lacks")
     for point in points:
         point.validate()
     full = sample_deployment(points[-1], _generator(points[-1].seed, _NS_DEPLOYMENT))
-    with _pool(workers) as pool:
-        return [row(p, _run_drops(p, full.subset(p.k), pool, with_baseline)) for p in points]
+    counts = [-(-p.n_drops // CHUNK_DROPS) for p in points]
+    procs = min(workers, max(counts))
+
+    def results(w: int):  # process w's chunks, point by point
+        for p, n in zip(points, counts):
+            dep = full.subset(p.k)
+            yield [_run_drops(p, dep, [c], with_baseline) for c in range(w, n, procs)]
+
+    children = []
+    try:
+        for w in range(1, procs):
+            children.append(_fork(results(w)))
+        rows = []
+        for p, n, own in zip(points, counts, results(0)):
+            parts = [None] * n
+            parts[::procs] = own
+            for w, (_, pipe) in enumerate(children, 1):
+                parts[w::procs] = _receive(pipe)
+            rows.append(row(p, _concat(parts)))
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return ExperimentSummary(columns, rows, {"processes": procs})
 
 
 def _ci_halfwidth(values: np.ndarray) -> float:
@@ -306,17 +365,9 @@ def experiment_single_rb(
             _ci_halfwidth(sinr_db),
         )
 
-    return ExperimentSummary(
-        columns=[
-            "k",
-            "mtd_power_dbm",
-            "mean_sinr_db",
-            "median_sinr_db",
-            "outage_rate",
-            "ci_halfwidth_db",
-        ],
-        rows=_sweep(_single_rb_points(config, k_values, power_values), row, workers),
-    )
+    columns = ["k", "mtd_power_dbm", "mean_sinr_db", "median_sinr_db", "outage_rate",
+               "ci_halfwidth_db"]
+    return _sweep(_single_rb_points(config, k_values, power_values), row, columns, workers)
 
 
 def experiment_throughput(
@@ -336,10 +387,8 @@ def experiment_throughput(
         )
 
     points = [replace(config, k=k) for k in _check_k_values(k_values)]
-    return ExperimentSummary(
-        columns=["k", "mean_throughput_bps", "target_rate_bps", "baseline_throughput_bps"],
-        rows=_sweep(points, row, workers, with_baseline=True),
-    )
+    columns = ["k", "mean_throughput_bps", "target_rate_bps", "baseline_throughput_bps"]
+    return _sweep(points, row, columns, workers, with_baseline=True)
 
 
 def experiment_outage(config: SimConfig, k_values, workers: int = 1) -> ExperimentSummary:
@@ -351,10 +400,8 @@ def experiment_outage(config: SimConfig, k_values, workers: int = 1) -> Experime
     def row(cfg: SimConfig, drops: DropResult) -> tuple:
         return (cfg.k, cfg.delta_th_db, float(np.mean(drops.outage[:, 0])))
 
-    return ExperimentSummary(
-        columns=["k", "delta_th_db", "outage_rate"],
-        rows=_sweep(_single_rb_points(config, k_values), row, workers),
-    )
+    columns = ["k", "delta_th_db", "outage_rate"]
+    return _sweep(_single_rb_points(config, k_values), row, columns, workers)
 
 
 def _first_hits(config: SimConfig, max_k: int) -> tuple[np.ndarray, int]:
@@ -439,6 +486,7 @@ def verify_asymptotic(config: SimConfig, k_values) -> ExperimentSummary:
         rows=[(k, h / n, 1.0 - (1.0 - phi) ** k) for k, h in zip(ks, hits)],
         manifest={
             "phi_at_delta_i": phi,
+            "processes": 1,
             "mtds_drawn": min(int(first.max()), ks[-1]),
             "antenna_vectors_drawn": drawn,
             "p_empirical_ci95": [_wilson_interval(h, n) for h in hits],

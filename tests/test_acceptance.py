@@ -5,6 +5,7 @@ criterion (numbers 1-9). The heavy sweeps are shared module fixtures, so the
 whole gate runs in a few minutes.
 """
 
+import json
 import math
 import time
 from dataclasses import replace
@@ -219,10 +220,11 @@ def test_criterion_8_throughput_approaches_target(throughput_grid):
 
 
 def test_criterion_9_reruns_byte_identical(tmp_path):
+    # 300 drops are two chunks, so the two-worker drop runs fork a child for chunk 1
     cases = {
-        "single-rb": ["--drops", "100", "--k-values", "1,5"],
-        "throughput": ["--drops", "50", "--k-values", "2,3"],
-        "outage": ["--drops", "100", "--k-values", "1,2"],
+        "single-rb": ["--drops", "300", "--k-values", "1,5"],
+        "throughput": ["--drops", "300", "--k-values", "2,3"],
+        "outage": ["--drops", "300", "--k-values", "1,2"],
         "asymptotic": ["--drops", "2000", "--k-values", "1,10"],
     }
     ok = True
@@ -238,6 +240,8 @@ def test_criterion_9_reruns_byte_identical(tmp_path):
             )
             ok &= rc == 0
             blobs.append((out / f"{name}.csv").read_bytes())
+            processes = json.loads((out / "manifest.json").read_text())["processes"]
+            ok &= processes == workers
         ok &= blobs[0] == blobs[1] == blobs[2]
     try:
         cli.main(["asymptotic", "--out", str(tmp_path / "refused"), "--workers", "2",

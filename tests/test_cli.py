@@ -42,6 +42,12 @@ def test_single_rb_writes_csv_and_manifest(tmp_path):
     assert manifest["python"] == ".".join(map(str, sys.version_info[:3]))
     assert manifest["numpy"] == np.__version__
     assert manifest["cpu_count"] == os.cpu_count()
+    assert manifest["workers"] == manifest["processes"] == 1
+    # 60 drops are one chunk: more workers than chunks run in one process,
+    # and the manifest says so beside the workers asked for
+    assert _run(["single-rb", "--out", str(out), "--drops", "60", "--workers", "4"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["workers"], manifest["processes"]) == (4, 1)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -51,11 +57,99 @@ def test_rerun_is_byte_identical(tmp_path):
     assert _read(tmp_path / "a", "outage.csv") == _read(tmp_path / "b", "outage.csv")
 
 
-def test_worker_count_does_not_change_artifact(tmp_path):
-    base = ["single-rb", "--drops", "64", "--k-values", "1,2"]
+def _record_forks(monkeypatch) -> list[int]:
+    """Wrap ``os.fork``; the returned list gets one entry per fork."""
+    forks, fork = [], os.fork
+
+    def recording_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
+def test_worker_count_does_not_change_artifact(tmp_path, monkeypatch):
+    # 300 drops are two chunks, so at two workers a child runs chunk 1
+    base = ["single-rb", "--drops", "300", "--k-values", "1,2"]
     assert _run(base + ["--out", str(tmp_path / "w1"), "--workers", "1"]) == 0
+    forks = _record_forks(monkeypatch)
     assert _run(base + ["--out", str(tmp_path / "w2"), "--workers", "2"]) == 0
+    assert len(forks) == 1
+    assert json.loads(_read(tmp_path / "w2", "manifest.json"))["processes"] == 2
     assert _read(tmp_path / "w1", "single-rb.csv") == _read(tmp_path / "w2", "single-rb.csv")
+
+
+def test_workers_are_capped_at_the_chunk_count(tmp_path, monkeypatch):
+    forks = _record_forks(monkeypatch)
+    out = tmp_path / "o"
+    args = ["outage", "--drops", "300", "--k-values", "1,5", "--workers", "8", "--out", str(out)]
+    assert _run(args) == 0
+    assert len(forks) == 1
+    manifest = json.loads(_read(out, "manifest.json"))
+    assert (manifest["workers"], manifest["processes"]) == (8, 2)
+
+
+#: runs the CLI in a fresh interpreter with ``_run_chunk`` failing on chunk 1
+#: (a ConfigError, a RuntimeError or a SIGKILL of the process running it),
+#: then prints the exit code and whether every child was reaped
+_FAILING_CHUNK = """
+import os, signal, sys
+from mtc_underlay import cli, montecarlo
+from mtc_underlay.config import ConfigError
+kind, workers, out = sys.argv[1:]
+run_chunk = montecarlo._run_chunk
+
+def failing(config, deployment, chunk, *rest):
+    if chunk == 1:
+        if kind == "config":
+            raise ConfigError("chunk 1 refused")
+        if kind == "runtime":
+            raise RuntimeError("chunk 1 failed")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_chunk(config, deployment, chunk, *rest)
+
+montecarlo._run_chunk = failing
+rc = cli.main(["outage", "--drops", "300", "--k-values", "1,5", "--workers", workers,
+               "--out", out])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(rc, reaped)
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, workers, code",
+    [("config", 2, 2), ("runtime", 2, 3), ("kill", 2, 3), ("config", 1, 2), ("runtime", 1, 3)],
+)
+def test_failing_chunk_exits_cleanly_at_any_worker_count(kind, workers, code, tmp_path):
+    # at two workers chunk 1 runs in the child: its exception reaches the
+    # parent as itself, its death as a runtime error; no CSV or manifest is
+    # written, nothing hangs and no child is left unreaped
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FAILING_CHUNK, kind, str(workers), str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.split() == [str(code), "True"], proc.stderr
+    assert ("config error" if code == 2 else "runtime error") in proc.stderr
+    assert not (out / "outage.csv").exists() and not (out / "manifest.json").exists()
+
+
+def test_sharded_run_imports_no_process_pool(tmp_path):
+    code = (
+        "import sys; from mtc_underlay.cli import main; "
+        f"rc = main(['outage', '--drops', '300', '--k-values', '1,4', '--workers', '2', "
+        f"'--out', {str(tmp_path)!r}]); "
+        "print(rc, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.stdout.split() == ["0", "False", "False"], proc.stderr
+    assert json.loads((tmp_path / "manifest.json").read_text())["processes"] == 2
 
 
 def test_throughput_artifact(tmp_path):

@@ -228,7 +228,8 @@ def test_ci_halfwidth_scales_with_drop_count():
 
 
 def test_workers_do_not_change_results():
-    # 520 drops > one pool chunk, so ordered multi-chunk merging is exercised
+    # 520 drops are three chunks: at two workers the parent runs chunks 0 and
+    # 2, a child chunk 1, and the parent puts them back in order
     cfg = SimConfig(n_drops=520)
     serial = experiment_single_rb(cfg, [1, 4], [0.0], workers=1)
     pooled = experiment_single_rb(cfg, [1, 4], [0.0], workers=2)
@@ -263,6 +264,13 @@ def test_k_values_must_be_positive_integers(k_values):
 def test_workers_must_be_positive_integer(workers):
     with pytest.raises(ValueError, match="workers"):
         experiment_outage(SimConfig(n_drops=10), [1], workers=workers)
+
+
+def test_workers_without_fork_fail_loudly(monkeypatch):
+    monkeypatch.delattr(montecarlo.os, "fork")
+    with pytest.raises(RuntimeError, match="fork"):
+        experiment_outage(SimConfig(n_drops=10), [1], workers=2)
+    assert experiment_outage(SimConfig(n_drops=10), [1]).manifest == {"processes": 1}
 
 
 def test_throughput_schema_and_target_column():
@@ -613,12 +621,14 @@ def test_golden_outage_fixed_csv():
     ids=["throughput", "single-rb", "outage-controlled"],
 )
 def test_chunks_and_workers_do_not_change_csv(run):
-    # 300 drops make two pool chunks; each chunk's drops are a function of
+    # 300 drops make two chunks; each chunk's drops are a function of
     # (seed, chunk) alone, so any worker count returns the same CSV (the
-    # block partition within a chunk is part of the RNG contract)
+    # block partition within a chunk is part of the RNG contract); three
+    # workers run as two processes, one per chunk
     reference = run(1).to_csv_text()
     assert run(2).to_csv_text() == reference
-    assert run(3).to_csv_text() == reference
+    capped = run(3)
+    assert capped.to_csv_text() == reference and capped.manifest["processes"] == 2
 
 
 def _record_chunk(monkeypatch, cfg, dep, chunk, with_baseline, block):
