@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 configuration error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -237,5 +238,16 @@ def _cleanup(paths: list[str]) -> None:
             pass
 
 
+def entry(argv=None) -> int:
+    """Process entry point: :func:`main`, then ``gc.freeze()`` on every way
+    out, so the interpreter's shutdown collections skip the objects importing
+    numpy and this package left behind, which no output depends on.
+    :func:`main` itself leaves the collector alone."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

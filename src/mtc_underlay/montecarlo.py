@@ -141,10 +141,13 @@ def run_drop(config: SimConfig, cu_gain, selected, interference, baseline=None) 
 
 
 def _run_chunk(
-    config: SimConfig, deployment: Deployment, chunk: int, with_baseline: bool, block: int
-) -> DropResult:
+    config: SimConfig, deployment: Deployment, chunk: int, with_baseline: bool, block: int,
+    powers_w=None,
+) -> list[DropResult]:
     """Chunk ``chunk`` of ``config.n_drops`` drops, in blocks of ``block``
-    drops: all of the RNG contract's drop streams.
+    drops: all of the RNG contract's drop streams. Returns one DropResult
+    per fixed MTD power in ``powers_w`` (W; by default the config's own),
+    all scored on the same draws; under controlled power, one.
 
     The chunk's streams are keyed (seed, namespace, chunk). The CU stream
     draws all of the chunk's CU distances, then its CU gains g_c Gamma(M, 1).
@@ -156,10 +159,10 @@ def _run_chunk(
     p_k g_k Exp(1) for the MTD it puts on each of the first min(N, K) RBs
     from the baseline stream. Under fixed power the race runs at unit power,
     so every fixed power picks the same MTDs and the picked values are
-    scaled by p after. The race reads a data-dependent number of variates,
-    so the block partition is part of the contract. Each stream is its own
-    sequence, so a stream a run does not read is never created and moves no
-    other variate.
+    scaled by each p after. The race reads a data-dependent number of
+    variates, so the block partition is part of the contract. Each stream is
+    its own sequence, so a stream a run does not read is never created and
+    moves no other variate.
     """
     n = min(CHUNK_DROPS, config.n_drops - chunk * CHUNK_DROPS)
     n_rb, k, floor = config.n_rb, deployment.n_mtds, config.min_distance_m
@@ -173,11 +176,11 @@ def _run_chunk(
     if controlled:
         g_mta = linear_gain(np.maximum(deployment.mtd_mta_distances(), floor), floor)
         mta = _generator(config.seed, _NS_MTA, chunk)
-        scale = 1.0
+        scales = [1.0]
     else:
-        rates, scale = 1.0 / g_bs, config.mtd_fixed_power_w
+        rates, scales = 1.0 / g_bs, powers_w or [config.mtd_fixed_power_w]
     baseline = _generator(config.seed, _NS_BASELINE, chunk) if with_baseline else None
-    parts = []
+    parts = [[] for _ in scales]
     for lo in range(0, n, block):
         d = min(block, n - lo)
         if controlled:
@@ -192,11 +195,14 @@ def _run_chunk(
         base = None
         if with_baseline:
             perms = baseline.permuted(np.tile(np.arange(k), (d, 1)), axis=1)[:, :n_rb]
-            base = np.zeros((d, n_rb))
             rate = np.take_along_axis(np.broadcast_to(rates, (d, k)), perms, axis=1)
-            base[:, :perms.shape[1]] = baseline.standard_exponential(perms.shape) * scale / rate
-        parts.append(run_drop(config, cu_gain[lo:lo + d], selected, value * scale, base))
-    return _concat(parts)
+            draws = baseline.standard_exponential(perms.shape)
+        for out, scale in zip(parts, scales):
+            if with_baseline:
+                base = np.zeros((d, n_rb))
+                base[:, :perms.shape[1]] = draws * scale / rate
+            out.append(run_drop(config, cu_gain[lo:lo + d], selected, value * scale, base))
+    return [_concat(p) for p in parts]
 
 
 def _concat(parts: list[DropResult]) -> DropResult:
@@ -214,7 +220,7 @@ def _run_drops(config: SimConfig, deployment: Deployment, chunks=None, with_base
         chunks = range(-(-config.n_drops // CHUNK_DROPS))
     # sized per point, so every process cuts a chunk into the same blocks
     block = max(1, BLOCK_ENTRIES // deployment.n_mtds)
-    return _concat([_run_chunk(config, deployment, c, with_baseline, block) for c in chunks])
+    return _concat([_run_chunk(config, deployment, c, with_baseline, block)[0] for c in chunks])
 
 
 def _fork(items) -> tuple[int, object]:
@@ -248,45 +254,51 @@ def _receive(pipe):
     return item
 
 
-def _sweep(points: list[SimConfig], row, columns, workers=1, with_baseline=False):
+def _sweep(groups: list[list[SimConfig]], row, columns, workers=1, with_baseline=False):
     """Run every sweep point's drops and reduce them to the point's table row.
 
-    ``points`` are configs in ascending K. One deployment is sampled at the
-    largest K from the (seed, 0) substream and sliced per point, so larger K
-    means a strictly richer selection pool. Then W = min(``workers``, the
-    largest point's chunk count) processes share the chunks out: the parent
-    is process 0 and forks W - 1 children once; process w runs chunks w,
-    w + W, ... of every point, and each child sends the parent one pickle per
-    point. The parent puts a point's chunks back in order and applies
-    ``row(point, drops)`` at once, so one point's drops are held at a time.
-    The manifest records W as ``processes``.
+    ``groups`` hold the sweep points in ascending K; the points of a group
+    differ only in fixed MTD power, so they share every draw (see
+    _run_chunk): each chunk is drawn once and scored at every power. One
+    deployment is sampled at the largest K from the (seed, 0) substream and
+    sliced per group, so larger K means a strictly richer selection pool.
+    Then W = min(``workers``, the largest group's chunk count) processes
+    share the chunks out: the parent is process 0 and forks W - 1 children
+    once; process w runs chunks w, w + W, ... of every group, and each child
+    sends the parent one pickle per group. The parent puts a group's chunks
+    back in order and applies ``row(point, drops)`` to its points at once, so
+    one group's drops are held at a time. The manifest records W as
+    ``processes``.
     """
     if not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if workers > 1 and not hasattr(os, "fork"):
         raise RuntimeError("more than one worker needs POSIX fork, which this platform lacks")
-    for point in points:
+    for point in (p for g in groups for p in g):
         point.validate()
-    full = sample_deployment(points[-1], _generator(points[-1].seed, _NS_DEPLOYMENT))
-    counts = [-(-p.n_drops // CHUNK_DROPS) for p in points]
+    last = groups[-1][-1]
+    full = sample_deployment(last, _generator(last.seed, _NS_DEPLOYMENT))
+    counts = [-(-g[0].n_drops // CHUNK_DROPS) for g in groups]
     procs = min(workers, max(counts))
 
-    def results(w: int):  # process w's chunks, point by point
-        for p, n in zip(points, counts):
-            dep = full.subset(p.k)
-            yield [_run_drops(p, dep, [c], with_baseline) for c in range(w, n, procs)]
+    def results(w: int):  # process w's chunks, group by group
+        for group, n in zip(groups, counts):
+            dep, powers = full.subset(group[0].k), [p.mtd_fixed_power_w for p in group]
+            block = max(1, BLOCK_ENTRIES // dep.n_mtds)
+            yield [_run_chunk(group[0], dep, c, with_baseline, block, powers)
+                   for c in range(w, n, procs)]
 
     children = []
     try:
         for w in range(1, procs):
             children.append(_fork(results(w)))
         rows = []
-        for p, n, own in zip(points, counts, results(0)):
+        for group, n, own in zip(groups, counts, results(0)):
             parts = [None] * n
             parts[::procs] = own
             for w, (_, pipe) in enumerate(children, 1):
                 parts[w::procs] = _receive(pipe)
-            rows.append(row(p, _concat(parts)))
+            rows.extend(row(p, _concat([c[i] for c in parts])) for i, p in enumerate(group))
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -326,19 +338,19 @@ def _check_k_values(k_values) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _single_rb_points(config: SimConfig, k_values, power_values=None) -> list[SimConfig]:
-    """Sweep points on one shared RB: K and, in fixed power mode, MTD power
-    in dBm, K first."""
+def _single_rb_points(config: SimConfig, k_values, power_values=None) -> list[list[SimConfig]]:
+    """Sweep points on one shared RB, one group per K: in fixed power mode,
+    one point per MTD power in dBm."""
     ks = _check_k_values(k_values)
     base = replace(config, n_rb=1)
     if config.mtd_power_mode == "fixed":
         powers = [config.mtd_fixed_power_dbm] if power_values is None else list(power_values)
         if not powers or len(set(powers)) != len(powers):
             raise ValueError(f"power_values must hold distinct MTD powers, got {power_values}")
-        return [replace(base, k=k, mtd_fixed_power_dbm=float(p)) for k in ks for p in powers]
+        return [[replace(base, k=k, mtd_fixed_power_dbm=float(p)) for p in powers] for k in ks]
     if power_values is not None:
         raise ValueError("power_values sets fixed MTD powers; controlled power mode has none")
-    return [replace(base, k=k) for k in ks]
+    return [[replace(base, k=k)] for k in ks]
 
 
 def experiment_single_rb(
@@ -386,9 +398,9 @@ def experiment_throughput(
             float(np.mean(drops.baseline_throughput_bps)),
         )
 
-    points = [replace(config, k=k) for k in _check_k_values(k_values)]
+    groups = [[replace(config, k=k)] for k in _check_k_values(k_values)]
     columns = ["k", "mean_throughput_bps", "target_rate_bps", "baseline_throughput_bps"]
-    return _sweep(points, row, columns, workers, with_baseline=True)
+    return _sweep(groups, row, columns, workers, with_baseline=True)
 
 
 def experiment_outage(config: SimConfig, k_values, workers: int = 1) -> ExperimentSummary:

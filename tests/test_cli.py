@@ -1,5 +1,8 @@
 """End-to-end CLI behaviour: artifacts, reproducibility, exit codes."""
 
+import ast
+import gc
+import importlib
 import json
 import math
 import os
@@ -13,6 +16,7 @@ import pytest
 import mtc_underlay.cli as cli
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(args):
@@ -130,7 +134,7 @@ def test_failing_chunk_exits_cleanly_at_any_worker_count(kind, workers, code, tm
     # parent as itself, its death as a runtime error; no CSV or manifest is
     # written, nothing hangs and no child is left unreaped
     out = tmp_path / "o"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _FAILING_CHUNK, kind, str(workers), str(out)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.stdout.split() == [str(code), "True"], proc.stderr
@@ -145,7 +149,7 @@ def test_sharded_run_imports_no_process_pool(tmp_path):
         f"'--out', {str(tmp_path)!r}]); "
         "print(rc, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.stdout.split() == ["0", "False", "False"], proc.stderr
@@ -338,7 +342,7 @@ def test_single_rb_run_leaves_numpy_ma_unimported(tmp_path):
         f"rc = main(['single-rb', '--drops', '50', '--k-values', '1,4', '--out', {str(tmp_path)!r}]); "
         "print(rc, 'numpy.ma' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
@@ -466,24 +470,79 @@ def test_partial_artifacts_removed_on_late_failure(tmp_path, capsys, monkeypatch
     capsys.readouterr()
 
 
+def _cli_process(*args) -> subprocess.CompletedProcess:
+    """``python -m mtc_underlay.cli ARGS`` in a fresh interpreter on this tree's ``src``."""
+    return subprocess.run([sys.executable, "-m", "mtc_underlay.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          timeout=120)
+
+
 def test_console_entry_point_smoke(tmp_path):
     out = tmp_path / "smoke"
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "mtc_underlay.cli",
-            "outage",
-            "--out",
-            str(out),
-            "--drops",
-            "20",
-            "--k-values",
-            "1",
-        ],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _cli_process("outage", "--out", str(out), "--drops", "20", "--k-values", "1")
     assert proc.returncode == 0, proc.stderr
     assert (out / "outage.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["outage", "--workers", "0"], 1, "error: argument --workers: must be at least 1"),
+        (["outage", "--drops", "0"], 2, "config error: n_drops must be"),
+        (["outage", "--drops", "10", "--out", "{blocker}/o"], 3, "runtime error:"),
+    ],
+)
+def test_process_exit_codes_and_messages(args, code, message, tmp_path):
+    # the process entry keeps main's exit status and stderr on every failure,
+    # and leaves no CSV or manifest behind
+    blocker = tmp_path / "blocker"
+    blocker.write_text("in the way")
+    args = [a.format(blocker=blocker) for a in args]
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "o")]
+    proc = _cli_process(*args)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert proc.stdout == ""
+    assert [p.name for p in tmp_path.rglob("*")] == ["blocker"]
+
+
+def test_entry_freezes_the_heap_on_every_way_out(tmp_path, capsys, monkeypatch):
+    freezes = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: freezes.append(1))
+    out = str(tmp_path / "o")
+    assert cli.entry(["outage", "--drops", "5", "--k-values", "1", "--out", out]) == 0
+    assert len(freezes) == 1
+    assert cli.entry(["outage", "--drops", "0", "--out", out]) == 2
+    assert len(freezes) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.entry(["outage", "--workers", "0", "--out", out])
+    assert exc.value.code == 1
+    assert len(freezes) == 3
+    capsys.readouterr()
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    assert cli.main(["outage", "--drops", "5", "--k-values", "1",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+
+def _main_block_call(path: Path) -> str:
+    """The name of the function ``sys.exit`` calls under ``if __name__ ==
+    "__main__"`` in the module at ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            (stmt,) = node.body
+            assert ast.unparse(stmt.value.func) == "sys.exit"
+            return stmt.value.args[0].func.id
+    raise AssertionError(f"no __main__ block in {path}")
+
+
+def test_console_script_uses_the_main_block_entry():
+    # an installed mtc-underlay and python -m mtc_underlay.cli exit the same way
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["mtc-underlay"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    assert target is getattr(cli, _main_block_call(Path(cli.__file__))) is cli.entry

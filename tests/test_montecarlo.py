@@ -36,7 +36,7 @@ def _drop(cfg, seed=0, drop_seed=1):
     """One drop, as a block of one: the one-drop chunk of root seed ``drop_seed``."""
     cfg = replace(cfg, n_drops=1, seed=drop_seed)
     dep = sample_deployment(cfg, np.random.default_rng(seed))
-    return montecarlo._run_chunk(cfg, dep, 0, False, 1)
+    return montecarlo._run_chunk(cfg, dep, 0, False, 1)[0]
 
 
 def test_run_drop_shapes_and_ranges():
@@ -671,7 +671,7 @@ def test_chunk_streams_depend_only_on_seed_and_chunk(monkeypatch):
     cfg = SimConfig(k=30, n_rb=4, n_drops=2 * size, mtd_power_mode="controlled")
     dep = sample_deployment(cfg, np.random.default_rng(3))
     whole = montecarlo._run_drops(cfg, dep, None, with_baseline=True)
-    alone = montecarlo._run_chunk(cfg, dep, 1, True, _block(dep))  # drops [256, 512)
+    alone = montecarlo._run_chunk(cfg, dep, 1, True, _block(dep))[0]  # drops [256, 512)
     for f in fields(DropResult):
         np.testing.assert_array_equal(
             getattr(alone, f.name), getattr(whole, f.name)[size:], err_msg=f.name
@@ -757,3 +757,33 @@ def test_fixed_power_race_ignores_the_power():
             assert np.all(quiet.sinr_db >= loud.sinr_db)
             assert np.all(quiet.eff_interference_w <= loud.eff_interference_w)
         assert np.any(runs[2].sinr_db > runs[3].sinr_db)
+
+
+def test_multi_power_single_rb_draws_each_chunk_once(monkeypatch):
+    # points that differ only in fixed power share their draws: on the
+    # single-rb-power benchmark's arguments (4 K, 2 powers, 2 chunks) the
+    # sweep opens the deployment stream and, per (K, chunk), one CU and one
+    # projection stream: 1 + 4 * 2 * 2 = 17 (one sweep per power opens 33)
+    calls = []
+    generator = montecarlo._generator
+
+    def counting(*key):
+        calls.append(key)
+        return generator(*key)
+
+    monkeypatch.setattr(montecarlo, "_generator", counting)
+    experiment_single_rb(SimConfig(n_drops=400), [1, 10, 100, 1000], [0.0, -10.0])
+    assert len(calls) == 17
+    assert len(set(calls)) == 5  # deployment, then (CU, projection) x 2 chunks
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_power_rows_equal_single_power_runs(workers):
+    # scoring every power on one set of draws changes no row: each power's
+    # rows of a multi-power sweep are those of a sweep at that power alone
+    cfg, ks = SimConfig(n_drops=300), [1, 7, 40]
+    powers = [-math.inf, -10.0, 0.0, 10.0]
+    multi = experiment_single_rb(cfg, ks, powers, workers=workers)
+    for p in powers:
+        alone = experiment_single_rb(cfg, ks, [p])
+        assert [r for r in multi.rows if r[1] == p] == alone.rows, p
