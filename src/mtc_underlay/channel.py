@@ -13,6 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# loaded with the package, not at the first draw in main: numpy.random is about
+# 4 MB with the OpenSSL that `secrets` pulls in, so a run reaches its working
+# size while it imports
+from numpy.random import Generator
 
 from .config import ConfigError, SimConfig
 
@@ -111,7 +115,7 @@ def _sample_disk(rng, n, center, radius, accept, what: str, grow=False) -> np.nd
     return np.concatenate(parts, axis=1)[:, :n]
 
 
-def sample_deployment(config: SimConfig, rng: np.random.Generator) -> Deployment:
+def sample_deployment(config: SimConfig, rng: Generator) -> Deployment:
     """Draw the MTA uniformly in the cell and ``config.k`` MTDs in its cluster.
 
     The MTA is at least the minimum distance from the BS; MTDs are uniform in
@@ -135,7 +139,7 @@ def sample_deployment(config: SimConfig, rng: np.random.Generator) -> Deployment
 
 
 def sample_cu_position(
-    config: SimConfig, mta: tuple[float, float], rng: np.random.Generator, n: int
+    config: SimConfig, mta: tuple[float, float], rng: Generator, n: int
 ) -> np.ndarray:
     """Distances to the BS of ``n`` uniform CU positions: in-cell, >= min
     distance from the BS, and outside the ``cu_mta_exclusion_m`` disk around
