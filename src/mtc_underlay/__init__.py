@@ -8,7 +8,7 @@ from .channel import (
     sample_cu_position,
     sample_deployment,
 )
-from .config import ConfigError, SimConfig, parse_config, parse_config_text, serialize_config
+from .config import ConfigError, SimConfig, parse_config, parse_config_text
 from .montecarlo import (
     DropResult,
     ExperimentSummary,
@@ -42,7 +42,6 @@ __all__ = [
     "run_drop",
     "sample_cu_position",
     "sample_deployment",
-    "serialize_config",
     "throughput",
     "verify_asymptotic",
 ]

@@ -13,11 +13,11 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .config import ConfigError, SimConfig, config_as_dict, parse_config
+from .config import ConfigError, SimConfig, parse_config
 from .montecarlo import (
     RNG_CONTRACT,
     experiment_outage,
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
             "experiment": args.experiment,
             "seed": config.seed,
             "workers": args.workers,
-            "config": config_as_dict(config),
+            "config": asdict(config),
             "rng_contract": RNG_CONTRACT,
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,

@@ -1,4 +1,5 @@
-"""Simulation configuration and the line-oriented ``key = value`` file format."""
+"""Simulation configuration, its dB-to-linear conversions, and the line-oriented
+``key = value`` file format."""
 
 from __future__ import annotations
 
@@ -7,15 +8,21 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .units import db_to_linear, dbm_to_watts
+import numpy as np
 
 POWER_MODES = ("fixed", "controlled")
-
-_STR_FIELDS = {"mtd_power_mode"}
 
 
 class ConfigError(ValueError):
     """Invalid configuration value or unparseable config file."""
+
+
+def db_to_linear(value_db):
+    return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
+
+
+def dbm_to_watts(value_dbm):
+    return 10.0 ** ((np.asarray(value_dbm, dtype=float) - 30.0) / 10.0)
 
 
 @dataclass
@@ -151,6 +158,7 @@ class SimConfig:
 _FIELD_NAMES = {f.name for f in dataclasses.fields(SimConfig)}
 # fields parsed and validated as integers; everything else numeric is a float
 _INT_FIELDS = {f.name for f in dataclasses.fields(SimConfig) if f.type == "int"}
+_STR_FIELDS = {f.name for f in dataclasses.fields(SimConfig) if f.type == "str"}
 
 
 def _parse_value(key: str, raw: str, lineno: int):
@@ -200,18 +208,3 @@ def parse_config_text(text: str) -> SimConfig:
 def parse_config(path) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def serialize_config(config: SimConfig) -> str:
-    """Inverse of :func:`parse_config_text` (omits unset optional fields)."""
-    lines = []
-    for f in dataclasses.fields(SimConfig):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
-
-
-def config_as_dict(config: SimConfig) -> dict:
-    return dataclasses.asdict(config)

@@ -141,13 +141,12 @@ def run_drop(config: SimConfig, cu_gain, selected, interference, baseline=None) 
 
 
 def _run_chunk(
-    config: SimConfig, deployment: Deployment, chunk: int, with_baseline: bool, block: int,
-    powers_w=None,
+    config: SimConfig, deployment: Deployment, chunk: int, with_baseline: bool, powers_w=None,
 ) -> list[DropResult]:
-    """Chunk ``chunk`` of ``config.n_drops`` drops, in blocks of ``block``
-    drops: all of the RNG contract's drop streams. Returns one DropResult
-    per fixed MTD power in ``powers_w`` (W; by default the config's own),
-    all scored on the same draws; under controlled power, one.
+    """Chunk ``chunk`` of ``config.n_drops`` drops: all of the RNG contract's
+    drop streams. Returns one DropResult per fixed MTD power in ``powers_w``
+    (W; by default the config's own), all scored on the same draws; under
+    controlled power, one.
 
     The chunk's streams are keyed (seed, namespace, chunk). The CU stream
     draws all of the chunk's CU distances, then its CU gains g_c Gamma(M, 1).
@@ -160,12 +159,13 @@ def _run_chunk(
     from the baseline stream. Under fixed power the race runs at unit power,
     so every fixed power picks the same MTDs and the picked values are
     scaled by each p after. The race reads a data-dependent number of
-    variates, so the block partition is part of the contract. Each stream is
-    its own sequence, so a stream a run does not read is never created and
-    moves no other variate.
+    variates, so the block partition, max(1, BLOCK_ENTRIES // K) drops per
+    block, is part of the contract. Each stream is its own sequence, so a
+    stream a run does not read is never created and moves no other variate.
     """
     n = min(CHUNK_DROPS, config.n_drops - chunk * CHUNK_DROPS)
     n_rb, k, floor = config.n_rb, deployment.n_mtds, config.min_distance_m
+    block = max(1, BLOCK_ENTRIES // k)
     cu = _generator(config.seed, _NS_CU, chunk)
     r = sample_cu_position(config, deployment.mta, cu, n)
     cu_gain = cu.standard_gamma(config.antennas, (n, n_rb))
@@ -213,14 +213,10 @@ def _concat(parts: list[DropResult]) -> DropResult:
     return DropResult(**{n: None if c[0] is None else np.concatenate(c) for n, c in cols.items()})
 
 
-def _run_drops(config: SimConfig, deployment: Deployment, chunks=None, with_baseline=False):
-    """Drops of one sweep point, serially: its chunks in ``chunks`` (all of
-    them by default), concatenated in that order."""
-    if chunks is None:
-        chunks = range(-(-config.n_drops // CHUNK_DROPS))
-    # sized per point, so every process cuts a chunk into the same blocks
-    block = max(1, BLOCK_ENTRIES // deployment.n_mtds)
-    return _concat([_run_chunk(config, deployment, c, with_baseline, block)[0] for c in chunks])
+def _run_drops(config: SimConfig, deployment: Deployment, with_baseline=False):
+    """Every drop of one sweep point, serially, chunk after chunk."""
+    chunks = range(-(-config.n_drops // CHUNK_DROPS))
+    return _concat([_run_chunk(config, deployment, c, with_baseline)[0] for c in chunks])
 
 
 def _fork(items) -> tuple[int, object]:
@@ -284,9 +280,7 @@ def _sweep(groups: list[list[SimConfig]], row, columns, workers=1, with_baseline
     def results(w: int):  # process w's chunks, group by group
         for group, n in zip(groups, counts):
             dep, powers = full.subset(group[0].k), [p.mtd_fixed_power_w for p in group]
-            block = max(1, BLOCK_ENTRIES // dep.n_mtds)
-            yield [_run_chunk(group[0], dep, c, with_baseline, block, powers)
-                   for c in range(w, n, procs)]
+            yield [_run_chunk(group[0], dep, c, with_baseline, powers) for c in range(w, n, procs)]
 
     children = []
     try:
@@ -416,10 +410,10 @@ def experiment_outage(config: SimConfig, k_values, workers: int = 1) -> Experime
     return _sweep(_single_rb_points(config, k_values), row, columns, workers)
 
 
-def _first_hits(config: SimConfig, max_k: int) -> tuple[np.ndarray, int]:
+def _first_hits(config: SimConfig, max_k: int, g: float) -> tuple[np.ndarray, int]:
     """Each sample's first hit, the first of its MTDs 1, 2, ..., max_k whose
-    projection falls below delta_I (max_k + 1 where none does), and the
-    number of M-antenna vectors drawn.
+    projection, at mean gain ``g``, falls below delta_I (max_k + 1 where none
+    does), and the number of M-antenna vectors drawn.
 
     Draws from the (seed, 3) stream: the n serving vectors as standard
     normals (n, M, 2), then for MTD j = 1, 2, ... one (live, M, 2) draw for
@@ -427,7 +421,6 @@ def _first_hits(config: SimConfig, max_k: int) -> tuple[np.ndarray, int]:
     throughout. It stops once no sample is live or j reaches ``max_k``.
     """
     delta, n, m = config.delta_i_w, config.n_drops, config.antennas
-    g = float(linear_gain(config.mta_cluster_radius_m, config.min_distance_m))
     rng = _generator(config.seed, _NS_ASYMPTOTIC)
 
     # serving direction per sample; its own scale cancels in the normalisation
@@ -489,9 +482,9 @@ def verify_asymptotic(config: SimConfig, k_values) -> ExperimentSummary:
     config.validate()
     ks = _check_k_values(k_values)
     n = config.n_drops
-    first, drawn = _first_hits(config, ks[-1])
-    hits = [int(np.count_nonzero(first <= k)) for k in ks]
     g = float(linear_gain(config.mta_cluster_radius_m, config.min_distance_m))
+    first, drawn = _first_hits(config, ks[-1], g)
+    hits = [int(np.count_nonzero(first <= k)) for k in ks]
     phi = -math.expm1(-config.delta_i_w / g)
     return ExperimentSummary(
         columns=["k", "p_empirical", "p_closed_form"],

@@ -29,10 +29,10 @@ def match_assignments(source) -> tuple[np.ndarray, np.ndarray]:
     returns, for each of the given distinct rows, the MTD and value of its
     least entry over its drop's MTDs not ``claimed`` (D, K). A drop's rows
     retire once all of its MTDs are claimed. The rounds run over all active
-    (drop, RB) pairs at once, in (drop, RB) order, and sorting proposals by
-    (drop, MTD, value, RB) puts each contested MTD's winner first in its
-    group. Returns the (D, N) array of each RB's MTD (-1: none) and the (D, N)
-    array of its value (0 where none).
+    (drop, RB) pairs at once, in (drop, RB) order, so a stable sort by
+    (drop * K + MTD, value) puts each contested MTD's winner first in its
+    group, value ties going to the lower RB. Returns the (D, N) array of each
+    RB's MTD (-1: none) and the (D, N) array of its value (0 where none).
     """
     n_drops, n_rb, k = source.shape
     assigned = np.full((n_drops, n_rb), -1)
@@ -41,9 +41,9 @@ def match_assignments(source) -> tuple[np.ndarray, np.ndarray]:
     drop, rb = np.divmod(np.arange(n_drops * n_rb), n_rb)
     while drop.size:
         mtd, val = source.next(drop, rb, claimed)
-        order = np.lexsort((rb, val, mtd, drop))
-        d, m = drop[order], mtd[order]
-        win = order[(np.diff(d, prepend=-1) != 0) | (np.diff(m, prepend=-1) != 0)]
+        key = drop * k + mtd
+        order = np.lexsort((val, key))
+        win = order[np.diff(key[order], prepend=-1) != 0]
         assigned[drop[win], rb[win]] = mtd[win]
         value[drop[win], rb[win]] = val[win]
         claimed[drop[win], mtd[win]] = True
@@ -57,19 +57,23 @@ class Race:
     """Proposals of a (D, N, K) block of independent entries
     X[d, n, k] ~ Exp(rates[d, k]), drawn when the matcher asks for them.
 
-    ``rates`` is (K,), shared by every drop, or (D, K). A row proposes again
-    only after its last proposal's MTD was claimed, and its other entries
-    are then known only to exceed that proposal, so its least entry over its
-    drop's unclaimed MTDs is the last proposal (0 at first) plus Exp(sum of
-    the unclaimed rates), at unclaimed MTD k with probability rate_k over
-    that sum (memorylessness and competing exponentials; Renyi, Acta Math.
-    Hung. 4, 1953). Each :meth:`next` call draws, from ``rng``, one Exp(1)
-    per row asked and then one uniform per row asked, in the order of the
-    rows given (the matcher gives them in (drop, RB) order).
+    ``rates`` is (K,), shared by every drop, or (D, K), each finite and
+    nonnegative (a ValueError otherwise). A row proposes again only after its
+    last proposal's MTD was claimed, and its other entries are then known
+    only to exceed that proposal, so its least entry over its drop's
+    unclaimed MTDs is the last proposal (0 at first) plus Exp(sum of the
+    unclaimed rates), at unclaimed MTD k with probability rate_k over that
+    sum (memorylessness and competing exponentials; Renyi, Acta Math. Hung.
+    4, 1953). Each :meth:`next` call draws, from ``rng``, one Exp(1) per row
+    asked and then one uniform per row asked, in the order of the rows given
+    (the matcher gives them in (drop, RB) order).
     """
 
     def __init__(self, rates, n_drops: int, n_rb: int, rng: np.random.Generator):
         rates = np.asarray(rates, dtype=float)
+        bad = rates[~((rates >= 0) & (rates < np.inf))]
+        if bad.size:
+            raise ValueError(f"race rates must be finite and nonnegative, got {np.unique(bad)}")
         self.shape = (n_drops, n_rb, rates.shape[-1])
         self._rates = np.broadcast_to(rates, (n_drops, rates.shape[-1]))
         # rates shared by every drop: one cumulative serves each drop with

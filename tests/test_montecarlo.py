@@ -36,7 +36,7 @@ def _drop(cfg, seed=0, drop_seed=1):
     """One drop, as a block of one: the one-drop chunk of root seed ``drop_seed``."""
     cfg = replace(cfg, n_drops=1, seed=drop_seed)
     dep = sample_deployment(cfg, np.random.default_rng(seed))
-    return montecarlo._run_chunk(cfg, dep, 0, False, 1)[0]
+    return montecarlo._run_chunk(cfg, dep, 0, False)[0]
 
 
 def test_run_drop_shapes_and_ranges():
@@ -456,13 +456,19 @@ def test_asymptotic_threshold_override_moves_phi():
 _FIRST_HIT_ALPHA = 1e-3
 
 
+def _first_hits(cfg, max_k):
+    """``montecarlo._first_hits`` at the mean MTD gain verify_asymptotic gives it."""
+    g = float(linear_gain(cfg.mta_cluster_radius_m, cfg.min_distance_m))
+    return montecarlo._first_hits(cfg, max_k, g)
+
+
 def test_asymptotic_first_hits_follow_the_geometric_law():
     # a sample's first hit T is the first of i.i.d. trials that each succeed
     # with probability Phi, so T ~ Geometric(Phi) exactly. Ten bins fixed in
     # advance, at the deciles of that law; the last is open, and holds the
     # samples without a hit by max K (T = max K + 1), P(T > 10^4) ~ 5e-18
     cfg = SimConfig(n_drops=5000)
-    first, _ = montecarlo._first_hits(cfg, 10_000)
+    first, _ = _first_hits(cfg, 10_000)
     phi = verify_asymptotic(replace(cfg, n_drops=1), [1]).manifest["phi_at_delta_i"]
     edges = [math.ceil(math.log1p(-q / 10) / math.log1p(-phi)) for q in range(1, 10)]
     cdf = [0.0] + [-math.expm1(t * math.log1p(-phi)) for t in edges] + [1.0]
@@ -491,7 +497,7 @@ def test_asymptotic_mtd_one_projections_are_exponential():
 
     assert stats.kstest(x, "expon").pvalue > _FIRST_HIT_ALPHA
     g = linear_gain(cfg.mta_cluster_radius_m)
-    first, drawn = montecarlo._first_hits(cfg, 1)
+    first, drawn = _first_hits(cfg, 1)
     assert np.array_equal(first == 1, x * g < cfg.delta_i_w)
     assert drawn == 2 * n
 
@@ -502,7 +508,7 @@ def test_asymptotic_stops_drawing_once_every_sample_has_hit(monkeypatch):
     # serving vectors the stream draws once per MTD up to that hit, each
     # time for the samples still live, never more
     cfg = SimConfig(n_drops=400, delta_i_dbm=-90.0)
-    first, _ = montecarlo._first_hits(cfg, 10_000)
+    first, _ = _first_hits(cfg, 10_000)
     shapes = []
     generator = montecarlo._generator
 
@@ -545,7 +551,7 @@ def test_asymptotic_manifest_explains_the_run():
     cfg = SimConfig(n_drops=20, delta_i_dbm=-90.0)
     ks = [1, 10, 40]
     res = verify_asymptotic(cfg, ks)
-    first, _ = montecarlo._first_hits(cfg, ks[-1])
+    first, _ = _first_hits(cfg, ks[-1])
     hits = [int(np.sum(first <= k)) for k in ks]
     assert [p for _, p, _ in res.rows] == [h / 20 for h in hits]
     assert res.manifest["mtds_drawn"] == min(int(first.max()), ks[-1])
@@ -632,7 +638,8 @@ def test_chunks_and_workers_do_not_change_csv(run):
 
 
 def _record_chunk(monkeypatch, cfg, dep, chunk, with_baseline, block):
-    """Run one chunk; return the keys ``_generator`` was called with, the
+    """Run one chunk in blocks of ``block`` drops, ``BLOCK_ENTRIES`` set to
+    ``block`` times K; return the keys ``_generator`` was called with, the
     arrays each ``run_drop`` call received, concatenated over the blocks, and
     the (rates, drops, RBs) of each race."""
     keys, calls, races = [], [], []
@@ -653,15 +660,23 @@ def _record_chunk(monkeypatch, cfg, dep, chunk, with_baseline, block):
     monkeypatch.setattr(montecarlo, "_generator", recording_generator)
     monkeypatch.setattr(montecarlo, "run_drop", recording_kernel)
     monkeypatch.setattr(montecarlo, "Race", recording_race)
-    montecarlo._run_chunk(cfg, dep, chunk, with_baseline, block)
+    monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", block * dep.n_mtds)
+    montecarlo._run_chunk(cfg, dep, chunk, with_baseline)
     monkeypatch.undo()
     inputs = [None if a[0] is None else np.concatenate(a) for a in zip(*calls)]
     return keys, dict(zip(["cu", "selected", "interference", "baseline"], inputs)), races
 
 
-def _block(dep):
-    """The block size ``_run_drops`` gives a chunk."""
-    return max(1, montecarlo.BLOCK_ENTRIES // dep.n_mtds)
+def test_chunk_cuts_blocks_of_block_entries_over_k_drops(monkeypatch):
+    # a chunk races blocks of max(1, BLOCK_ENTRIES // K) drops, the last one
+    # partial: 5 drops at K = 30 and BLOCK_ENTRIES = 60 race 2, 2 and 1, and
+    # fewer entries than K still race one drop at a time
+    cfg = SimConfig(k=30, n_rb=4, n_drops=5)
+    dep = sample_deployment(cfg, np.random.default_rng(3))
+    _, _, races = _record_chunk(monkeypatch, cfg, dep, 0, False, 2)
+    assert [r[1] for r in races] == [2, 2, 1]
+    _, _, races = _record_chunk(monkeypatch, cfg, dep, 0, False, 0)
+    assert [r[1] for r in races] == [1] * 5
 
 
 def test_chunk_streams_depend_only_on_seed_and_chunk(monkeypatch):
@@ -670,8 +685,8 @@ def test_chunk_streams_depend_only_on_seed_and_chunk(monkeypatch):
     size = montecarlo.CHUNK_DROPS
     cfg = SimConfig(k=30, n_rb=4, n_drops=2 * size, mtd_power_mode="controlled")
     dep = sample_deployment(cfg, np.random.default_rng(3))
-    whole = montecarlo._run_drops(cfg, dep, None, with_baseline=True)
-    alone = montecarlo._run_chunk(cfg, dep, 1, True, _block(dep))[0]  # drops [256, 512)
+    whole = montecarlo._run_drops(cfg, dep, with_baseline=True)
+    alone = montecarlo._run_chunk(cfg, dep, 1, True)[0]  # drops [256, 512)
     for f in fields(DropResult):
         np.testing.assert_array_equal(
             getattr(alone, f.name), getattr(whole, f.name)[size:], err_msg=f.name
@@ -738,8 +753,7 @@ def _single_rb_sweep(cfg, powers, ks):
     sweep's own deployment."""
     full = sample_deployment(replace(cfg, k=ks[-1]),
                              montecarlo._generator(cfg.seed, montecarlo._NS_DEPLOYMENT))
-    return {(p, k): montecarlo._run_drops(replace(cfg, k=k, mtd_fixed_power_dbm=p),
-                                          full.subset(k), None)
+    return {(p, k): montecarlo._run_drops(replace(cfg, k=k, mtd_fixed_power_dbm=p), full.subset(k))
             for p in powers for k in ks}
 
 

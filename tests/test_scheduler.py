@@ -303,6 +303,21 @@ def test_race_rows_stop_once_their_drop_is_full():
     assert reads.max() <= min(n_rb, k) and np.all(reads >= 1)
 
 
+@pytest.mark.parametrize("bad, shown", [(math.inf, "[inf]"), (math.nan, "[nan]"), (-1.0, "[-1.]")])
+def test_race_rejects_rates_not_finite_and_nonnegative(bad, shown):
+    # an infinite rate (an MTD heard at exactly 0 W), a NaN or a negative
+    # rate has no exponential law to race: each fails loudly, naming the
+    # rates, whether shared by every drop or per drop
+    for rates in ([bad, 1.0, 2.0], [[1.0, 1.0, 2.0], [1.0, bad, 2.0], [1.0, 1.0, 2.0]]):
+        with pytest.raises(ValueError, match="race rates must be finite and nonnegative") as e:
+            match_assignments(Race(rates, 3, 2, np.random.default_rng(0)))
+        assert str(e.value).endswith(f"got {shown}")
+    # a rate of 0 is an MTD heard at infinite power: legal, and never picked
+    # while another MTD is free
+    selected, value = match_assignments(Race([0.0, 1.0, 2.0], 3, 2, np.random.default_rng(0)))
+    assert np.sort(selected, axis=1).tolist() == [[1, 2]] * 3 and np.all(np.isfinite(value))
+
+
 #: family-wise error rate of the race's law checks, fixed before any result
 _RACE_ALPHA = 0.05
 
