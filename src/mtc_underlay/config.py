@@ -102,6 +102,17 @@ class SimConfig:
                 f"cu_mta_exclusion_m ({self.cu_mta_exclusion_m}) covers the whole "
                 f"cell (>= 2 * cell_radius_m)"
             )
+        from .channel import linear_gain  # here, as channel imports this module
+        lo = self.min_distance_m
+        with np.errstate(all="ignore"):
+            derived = {n: getattr(self, n) for n in _LINEAR}
+            for n in ("min_distance_m", "cell_radius_m", "mta_cluster_radius_m"):
+                derived[f"mean path gain at {n}"] = linear_gain(max(getattr(self, n), lo), lo)
+        if self.mtd_fixed_power_dbm == -math.inf:
+            del derived["mtd_fixed_power_w"]  # exactly 0 W: MTDs that never transmit
+        for name, value in derived.items():
+            if not 1.0 / _SPAN <= value <= _SPAN:
+                raise ConfigError(f"{name} must be within [{1 / _SPAN:g}, {_SPAN:g}], got {value}")
 
     # ---- derived linear-scale quantities -------------------------------
 
@@ -156,6 +167,9 @@ class SimConfig:
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(SimConfig)}
+_LINEAR = ("rb_bandwidth_hz", "noise_power_w", "i0_w", "p_max_w", "cu_target_sinr",
+           "mtd_target_sinr", "delta_th", "delta_i_w", "mtd_fixed_power_w")
+_SPAN = 1e75  # linear quantities lie within 1/_SPAN.._SPAN: products of four stay normal
 # fields parsed and validated as integers; everything else numeric is a float
 _INT_FIELDS = {f.name for f in dataclasses.fields(SimConfig) if f.type == "int"}
 _STR_FIELDS = {f.name for f in dataclasses.fields(SimConfig) if f.type == "str"}

@@ -11,8 +11,8 @@ next variates from the chunk's streams. A drop draws link gains, not
 channels, and only those its outputs read: the MTD-to-BS interference only
 as the proposals the matcher asks for, MTD-to-MTA gains only under
 controlled MTD power, and the random baseline's permutations and
-interference only where the baseline is scored. The drop kernel
-:func:`run_drop` draws nothing: it scores a block of matched interference.
+interference only where the baseline is scored. Blocks of drops only race:
+the drop kernel :func:`run_drop`, which draws nothing, scores a whole chunk.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _generator(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class DropResult:
-    """Outcome of a block of D drops: per-RB arrays are (D, N), throughputs
+    """Outcome of D drops, whole chunks: per-RB arrays are (D, N), throughputs
     (D,). An RB with no MTD carries selected_mtd -1 and zero interference."""
 
     sinr_db: np.ndarray
@@ -106,8 +106,8 @@ def _format_cell(value) -> str:
 
 
 def run_drop(config: SimConfig, cu_gain, selected, interference, baseline=None) -> DropResult:
-    """Score a block of D drops from their CU gains and matched interference;
-    draws nothing.
+    """Score D drops, in the experiments a whole chunk per call, from their CU
+    gains and matched interference; draws nothing.
 
     ``cu_gain`` (D, N) is each RB's CU gain ||h_c,n||^2, the sufficient
     statistic of the Rayleigh CU channel under a unit-norm MRC combiner.
@@ -115,7 +115,7 @@ def run_drop(config: SimConfig, cu_gain, selected, interference, baseline=None) 
     ``interference`` (D, N) the watts that MTD injects after the combiner (0
     where none). With ``baseline`` (D, N), the watts of the random
     assignment's MTDs, its throughput is scored alongside. Runs CU power
-    control, SINR, throughput and outage once for the block and writes
+    control, SINR, throughput and outage once for all D drops and writes
     nothing to its inputs.
     """
     n0 = config.noise_power_w
@@ -146,7 +146,7 @@ def _run_chunk(
     """Chunk ``chunk`` of ``config.n_drops`` drops: all of the RNG contract's
     drop streams. Returns one DropResult per fixed MTD power in ``powers_w``
     (W; by default the config's own), all scored on the same draws; under
-    controlled power, one.
+    controlled power, one, each from one :func:`run_drop` call on the chunk.
 
     The chunk's streams are keyed (seed, namespace, chunk). The CU stream
     draws all of the chunk's CU distances, then its CU gains g_c Gamma(M, 1).
@@ -179,8 +179,11 @@ def _run_chunk(
         scales = [1.0]
     else:
         rates, scales = 1.0 / g_bs, powers_w or [config.mtd_fixed_power_w]
-    baseline = _generator(config.seed, _NS_BASELINE, chunk) if with_baseline else None
-    parts = [[] for _ in scales]
+    selected, value = np.empty((n, n_rb), dtype=int), np.empty((n, n_rb))
+    if with_baseline:
+        baseline = _generator(config.seed, _NS_BASELINE, chunk)
+        # RBs past K keep a draw of 0 at rate 1: no interference
+        draws, rate, m = np.zeros((n, n_rb)), np.ones((n, n_rb)), min(n_rb, k)
     for lo in range(0, n, block):
         d = min(block, n - lo)
         if controlled:
@@ -191,22 +194,18 @@ def _run_chunk(
                 config.p_max_w,
             )
             rates = np.reciprocal(np.multiply(p_mtd, g_bs, out=p_mtd), out=p_mtd)
-        selected, value = match_assignments(Race(rates, d, n_rb, projection))
-        base = None
+        selected[lo:lo + d], value[lo:lo + d] = match_assignments(Race(rates, d, n_rb, projection))
         if with_baseline:
-            perms = baseline.permuted(np.tile(np.arange(k), (d, 1)), axis=1)[:, :n_rb]
-            rate = np.take_along_axis(np.broadcast_to(rates, (d, k)), perms, axis=1)
-            draws = baseline.standard_exponential(perms.shape)
-        for out, scale in zip(parts, scales):
-            if with_baseline:
-                base = np.zeros((d, n_rb))
-                base[:, :perms.shape[1]] = draws * scale / rate
-            out.append(run_drop(config, cu_gain[lo:lo + d], selected, value * scale, base))
-    return [_concat(p) for p in parts]
+            perms = baseline.permuted(np.tile(np.arange(k), (d, 1)), axis=1)[:, :m]
+            rate[lo:lo + d, :m] = np.take_along_axis(np.broadcast_to(rates, (d, k)), perms, axis=1)
+            draws[lo:lo + d, :m] = baseline.standard_exponential(perms.shape)
+    if not with_baseline:
+        return [run_drop(config, cu_gain, selected, value * s) for s in scales]
+    return [run_drop(config, cu_gain, selected, value * s, draws * s / rate) for s in scales]
 
 
 def _concat(parts: list[DropResult]) -> DropResult:
-    """One DropResult from consecutive blocks, in order."""
+    """One DropResult from a sweep point's consecutive chunks, in order."""
     if len(parts) == 1:
         return parts[0]
     cols = {f.name: [getattr(p, f.name) for p in parts] for f in fields(DropResult)}
@@ -460,9 +459,9 @@ def _wilson_interval(successes: int, n: int) -> list[float]:
 def verify_asymptotic(config: SimConfig, k_values) -> ExperimentSummary:
     """Check the min-interference order statistic against its product form.
 
-    With all K MTD channels i.i.d. at one BS distance (the MTD cluster
-    radius), the probability that the quietest MTD projects below delta_I
-    (``config.delta_i_dbm``) on the serving direction obeys
+    With all K MTD channels i.i.d. at one BS distance (the MTD cluster radius,
+    at least min_distance_m), the probability that the quietest MTD projects
+    below delta_I (``config.delta_i_dbm``) on the serving direction obeys
     P(X_min < delta_I) = 1 - (1 - Phi(delta_I))^K, Phi being the single-MTD
     CDF. Monte Carlo estimates over ``config.n_drops`` samples are returned
     next to the closed form at the analytic Phi(delta_I) = 1 - exp(-delta_I /
@@ -481,8 +480,8 @@ def verify_asymptotic(config: SimConfig, k_values) -> ExperimentSummary:
     """
     config.validate()
     ks = _check_k_values(k_values)
-    n = config.n_drops
-    g = float(linear_gain(config.mta_cluster_radius_m, config.min_distance_m))
+    n, floor = config.n_drops, config.min_distance_m
+    g = float(linear_gain(max(config.mta_cluster_radius_m, floor), floor))
     first, drawn = _first_hits(config, ks[-1], g)
     hits = [int(np.count_nonzero(first <= k)) for k in ks]
     phi = -math.expm1(-config.delta_i_w / g)

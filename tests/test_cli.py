@@ -1,17 +1,23 @@
 """End-to-end CLI behaviour: artifacts, reproducibility, exit codes."""
 
 import ast
+import contextlib
 import gc
 import importlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtc_underlay.cli as cli
 
@@ -368,6 +374,103 @@ def test_non_finite_config_file_value_is_config_error(line, tmp_path, capsys):
     assert rc == 2
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Configs whose fields each pass their own checks but which cannot be
+# simulated: a bandwidth, power, target or mean path gain that is 0, subnormal
+# or infinite in linear units. Unchecked, each exits 3 on an infinite race
+# rate, or exits 0 with -inf or saturated rows.
+_CONTROLLED = ["outage", "--power-mode", "controlled"]
+
+
+@pytest.mark.parametrize(
+    "args, lines, field",
+    [
+        pytest.param(_CONTROLLED, ["rb_bandwidth_hz = 1e-300"], "rb_bandwidth_hz",
+                     id="outage-controlled-tiny-bandwidth"),
+        pytest.param(_CONTROLLED, ["mtd_target_sinr_db = -4000"], "mtd_target_sinr",
+                     id="outage-controlled-zero-mtd-target"),
+        pytest.param(_CONTROLLED, ["i0_dbm = -4000", "noise_psd_dbm_hz = -4000"],
+                     "noise_power_w", id="outage-controlled-zero-noise-and-i0"),
+        pytest.param(["throughput", "--k-values", "20,50"], ["cell_radius_m = 1e300"],
+                     "mean path gain at cell_radius_m", id="throughput-huge-cell"),
+        pytest.param(["single-rb"], ["cell_radius_m = 1e300"],
+                     "mean path gain at cell_radius_m", id="single-rb-huge-cell"),
+        pytest.param(["single-rb"], ["i0_dbm = -4000", "noise_psd_dbm_hz = -4000"],
+                     "noise_power_w", id="single-rb-zero-noise-and-i0"),
+        pytest.param(["outage"], ["mtd_fixed_power_dbm = 4000"], "mtd_fixed_power_w",
+                     id="outage-infinite-mtd-power"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_config_that_cannot_be_simulated_exits_2(args, lines, field, tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert _run([*args, "--config", str(cfg), "--drops", "300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+_DB_VALUES = st.one_of(st.floats(-200.0, 200.0), st.floats(-5000.0, 5000.0),
+                       st.sampled_from([math.inf, -math.inf, math.nan]))
+_LINEAR_VALUES = st.one_of(st.floats(-330.0, 308.0).map(lambda e: 10.0 ** e),
+                           st.floats(0.0, 2000.0), st.sampled_from([0.0, -1.0, math.inf, math.nan]))
+# every numeric config field, in its own units, across and beyond its range
+_FIELD_VALUES = {
+    **{name: _DB_VALUES for name in (
+        "noise_figure_db", "noise_psd_dbm_hz", "cu_target_sinr_db", "mtd_fixed_power_dbm",
+        "mtd_target_sinr_db", "p_max_dbm", "i0_dbm", "delta_th_db", "delta_i_dbm")},
+    **{name: _LINEAR_VALUES for name in (
+        "cell_radius_m", "mta_cluster_radius_m", "rb_bandwidth_hz", "min_distance_m",
+        "cu_mta_exclusion_m")},
+    "antennas": st.integers(-1, 16),
+    "n_rb": st.integers(-1, 40),
+    "k": st.integers(-1, 10**6),
+    "n_drops": st.integers(-1, 10**9),
+    "seed": st.integers(-1, 2**64),
+}
+_CONFIGS = st.lists(st.one_of([st.tuples(st.just(n), v) for n, v in _FIELD_VALUES.items()]),
+                    min_size=1, max_size=3).map(dict)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    fields=_CONFIGS,
+    experiment=st.sampled_from(["single-rb", "throughput", "outage", "asymptotic"]),
+    controlled=st.booleans(),
+    ks=st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True).map(sorted),
+)
+def test_any_config_runs_clean_or_exits_2(fields, experiment, controlled, ks):
+    # a tiny run either writes only finite cells (the power column may hold
+    # its documented NaN under controlled power, or -inf for MTDs switched
+    # off) or stops with a config error; never a runtime error, and no numpy
+    # warning on the way (one would surface as a runtime error here)
+    controlled = controlled and experiment != "asymptotic"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "sim.cfg", Path(tmp) / "o"
+        cfg.write_text("".join(f"{name} = {value!r}\n" for name, value in fields.items()))
+        args = [experiment, "--config", str(cfg), "--drops", "20",
+                "--k-values", ",".join(map(str, ks)), "--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(args + ["--power-mode", "controlled"] * controlled)
+        if rc == 2:
+            assert err.getvalue().startswith("config error: ") and not out.exists()
+            return
+        assert rc == 0, err.getvalue()
+        header, *rows = [line.split(",") for line in
+                         (out / f"{experiment}.csv").read_text().splitlines()]
+    for row in rows:
+        for name, cell in zip(header, row):
+            value = float(cell)
+            if name == "mtd_power_dbm" and not math.isfinite(value):
+                assert math.isnan(value) if controlled else value == -math.inf
+            else:
+                assert math.isfinite(value), (name, row)
 
 
 def test_controlled_mode_from_config_file_rejects_mtd_power(tmp_path, capsys):

@@ -69,10 +69,11 @@ def test_run_drop_deterministic():
 @pytest.mark.parametrize("mode", ["fixed", "controlled"])
 @pytest.mark.parametrize("n_rb, k", [(20, 5), (3, 40), (1, 7)])
 def test_block_equals_its_drops_one_at_a_time(monkeypatch, mode, n_rb, k):
-    # a block is scored at once; every drop in it must come out as if alone
+    # a chunk is scored at once, all of its blocks in one run_drop call;
+    # every drop in it must come out as if alone
     cfg = SimConfig(k=k, n_rb=n_rb, mtd_power_mode=mode, seed=5, n_drops=6)
     dep = sample_deployment(cfg, np.random.default_rng(2))
-    _, inputs, _ = _record_chunk(monkeypatch, cfg, dep, 0, True, 6)
+    _, inputs, _ = _record_chunk(monkeypatch, cfg, dep, 0, True, 2)
     block = run_drop(cfg, *inputs.values())
     for i in range(6):
         alone = run_drop(cfg, *(a[i:i + 1] for a in inputs.values()))
@@ -444,6 +445,14 @@ def test_asymptotic_rejects_bad_threshold(delta_i):
         verify_asymptotic(SimConfig(n_drops=10, delta_i_dbm=delta_i), [1])
 
 
+def test_asymptotic_floors_the_cluster_radius_at_min_distance():
+    # a cluster radius below the path-loss floor draws at the floor distance,
+    # as the drop engine floors MTD-to-MTA distances, and is no GeometryError
+    cfg = SimConfig(n_drops=50, mta_cluster_radius_m=1.0)
+    at_floor = verify_asymptotic(replace(cfg, mta_cluster_radius_m=cfg.min_distance_m), [1, 3])
+    assert verify_asymptotic(cfg, [1, 3]).to_csv_text() == at_floor.to_csv_text()
+
+
 def test_asymptotic_threshold_override_moves_phi():
     cfg = SimConfig(n_drops=2000)
     low = verify_asymptotic(replace(cfg, delta_i_dbm=-110.0), [1])
@@ -617,6 +626,20 @@ def test_golden_outage_fixed_csv():
     assert s.to_csv_text() == (DATA / "golden_outage_fixed.csv").read_text()
 
 
+# The two goldens below were written under RNG contract 7 by the engine that
+# still scored each block of a chunk on its own; they pin scoring a chunk at
+# once. Throughput: N = 20 with K < N and 5 to 16 blocks per chunk, baseline
+# included. Single-RB: several fixed powers, -inf dBm included, on one race.
+def test_golden_throughput_many_blocks_csv():
+    s = experiment_throughput(SimConfig(n_drops=300), [5, 300, 1000])
+    assert s.to_csv_text() == (DATA / "golden_throughput_blocks.csv").read_text()
+
+
+def test_golden_single_rb_powers_csv():
+    s = experiment_single_rb(SimConfig(n_drops=300), [1, 300], [-math.inf, -10.0, 0.0])
+    assert s.to_csv_text() == (DATA / "golden_single_rb_powers.csv").read_text()
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -640,8 +663,8 @@ def test_chunks_and_workers_do_not_change_csv(run):
 def _record_chunk(monkeypatch, cfg, dep, chunk, with_baseline, block):
     """Run one chunk in blocks of ``block`` drops, ``BLOCK_ENTRIES`` set to
     ``block`` times K; return the keys ``_generator`` was called with, the
-    arrays each ``run_drop`` call received, concatenated over the blocks, and
-    the (rates, drops, RBs) of each race."""
+    arrays the chunk's one ``run_drop`` call received (baseline None when
+    not passed), and the (rates, drops, RBs) of each race."""
     keys, calls, races = [], [], []
     generator, kernel, race = montecarlo._generator, montecarlo.run_drop, montecarlo.Race
 
@@ -650,7 +673,7 @@ def _record_chunk(monkeypatch, cfg, dep, chunk, with_baseline, block):
         return generator(seed, *key)
 
     def recording_kernel(config, *inputs):
-        calls.append(inputs)
+        calls.append(inputs + (None,) * (4 - len(inputs)))
         return kernel(config, *inputs)
 
     def recording_race(rates, n_drops, n_rb, rng):
@@ -663,8 +686,8 @@ def _record_chunk(monkeypatch, cfg, dep, chunk, with_baseline, block):
     monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", block * dep.n_mtds)
     montecarlo._run_chunk(cfg, dep, chunk, with_baseline)
     monkeypatch.undo()
-    inputs = [None if a[0] is None else np.concatenate(a) for a in zip(*calls)]
-    return keys, dict(zip(["cu", "selected", "interference", "baseline"], inputs)), races
+    assert len(calls) == 1
+    return keys, dict(zip(["cu", "selected", "interference", "baseline"], calls[0])), races
 
 
 def test_chunk_cuts_blocks_of_block_entries_over_k_drops(monkeypatch):
@@ -677,6 +700,25 @@ def test_chunk_cuts_blocks_of_block_entries_over_k_drops(monkeypatch):
     assert [r[1] for r in races] == [2, 2, 1]
     _, _, races = _record_chunk(monkeypatch, cfg, dep, 0, False, 0)
     assert [r[1] for r in races] == [1] * 5
+
+
+def test_chunk_is_scored_once_per_power(monkeypatch):
+    # the blocks only race: a chunk of 9 drops racing three blocks of 3 is
+    # scored by one run_drop call per fixed power, each on all 9 drops
+    cfg = SimConfig(k=30, n_rb=4, n_drops=9)
+    dep = sample_deployment(cfg, np.random.default_rng(3))
+    calls, kernel = [], montecarlo.run_drop
+
+    def recording_kernel(config, cu_gain, *inputs):
+        calls.append(cu_gain.shape[0])
+        return kernel(config, cu_gain, *inputs)
+
+    monkeypatch.setattr(montecarlo, "run_drop", recording_kernel)
+    monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", 3 * dep.n_mtds)
+    powers = [cfg.mtd_fixed_power_w, 0.1 * cfg.mtd_fixed_power_w]
+    out = montecarlo._run_chunk(cfg, dep, 0, True, powers)
+    assert calls == [9, 9]
+    assert [d.throughput_bps.shape for d in out] == [(9,), (9,)]
 
 
 def test_chunk_streams_depend_only_on_seed_and_chunk(monkeypatch):
